@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -133,21 +132,31 @@ def clip_height_band(cloud: PointCloud) -> PointCloud:
     return cloud.select((z >= Z_MIN) & (z <= Z_MAX))
 
 
-def _neighbor_median(grid: np.ndarray) -> np.ndarray:
-    """Median over each cell's 8-neighborhood, ignoring NaN cells."""
+def _neighbor_median(grid: np.ndarray, cells: np.ndarray) -> np.ndarray:
+    """Median of the finite 8-neighbors of each flat cell index; NaN when none is.
+
+    Only the listed cells are reduced, and no NaN-skipping reduction runs, so
+    no all-NaN warning can arise.  An even count averages the two middle
+    values, as ``np.nanmedian`` does.
+    """
     nr, nc = grid.shape
     pad = np.full((nr + 2, nc + 2), np.nan)
     pad[1:-1, 1:-1] = grid
-    shifts = [
-        pad[1 + dr : 1 + dr + nr, 1 + dc : 1 + dc + nc]
-        for dr in (-1, 0, 1)
-        for dc in (-1, 0, 1)
-        if (dr, dc) != (0, 0)
-    ]
-    stack = np.stack(shifts)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RuntimeWarning)
-        return np.nanmedian(stack, axis=0)
+    r, c = np.divmod(cells, nc)
+    near = np.stack(
+        [
+            pad[r + 1 + dr, c + 1 + dc]
+            for dr in (-1, 0, 1)
+            for dc in (-1, 0, 1)
+            if (dr, dc) != (0, 0)
+        ],
+        axis=1,
+    )
+    near.sort(axis=1)  # NaN sorts last
+    k = np.isfinite(near).sum(axis=1)
+    rows = np.arange(len(cells))
+    # with no finite neighbor both picks are NaN
+    return (near[rows, (k - 1) // 2] + near[rows, k // 2]) / 2.0
 
 
 def remove_ground(cloud: PointCloud, cell_m: float = 1.0, z_margin: float = 0.3) -> PointCloud:
@@ -200,9 +209,10 @@ def remove_ground(cloud: PointCloud, cell_m: float = 1.0, z_margin: float = 0.3)
     count = np.bincount(cid, minlength=ncell)
     sparse = (count > 0) & (count < 3)
     if sparse.any() and np.isfinite(floor).any():
-        donor = _neighbor_median(floor.reshape(nr, nc)).ravel()
-        has_donor = sparse & np.isfinite(donor)
-        m = has_donor[cid]
+        donor = np.full(ncell, np.nan)
+        cells = np.flatnonzero(sparse)
+        donor[cells] = _neighbor_median(floor.reshape(nr, nc), cells)
+        m = np.isfinite(donor)[cid]
         ground[m] |= z[m] < donor[cid[m]] + z_margin
 
     return sub.select(~ground)

@@ -27,6 +27,7 @@ from .datasets import Dataset, TrajectoryPose, load_scan
 from .index import DegenerateDescriptorError, KeyframeIndex
 from .pipeline import preprocess
 from .pose import (
+    STAGE2_SUCCESS_MSE,
     InsufficientStructureError,
     Se3Pose,
     alignment_mse_3d,
@@ -456,7 +457,7 @@ def run_evaluation(
                     se2_to_matrix(est2),
                     mse=mse3,
                     converged=est2.converged,
-                    success=bool(mse3 < 1.5),
+                    success=bool(mse3 < STAGE2_SUCCESS_MSE),
                 )
         pose_rows.append(
             f"{fid},{cand},{_fmt(est3.tx)},{_fmt(est3.ty)},{_fmt(est3.tz)},"

@@ -7,12 +7,17 @@ planar alignment from both seeds and keeps the branch with lower residual.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.spatial import cKDTree
 
 from .cloud import PointCloud
+
+
+# Stage 2 calls a pose a success when its gated mse (m^2) is below this.
+STAGE2_SUCCESS_MSE = 1.5
 
 
 class InsufficientStructureError(Exception):
@@ -88,14 +93,43 @@ def matrix_to_se3(m: np.ndarray, **kw) -> Se3Pose:
 
 
 def _voxel_centroids(pts: np.ndarray, voxel: float) -> np.ndarray:
-    """One centroid per occupied voxel, rows ordered by voxel key."""
-    keys = np.floor(pts / voxel).astype(np.int64)
-    _, inverse, counts = np.unique(keys, axis=0, return_inverse=True, return_counts=True)
+    """One centroid per occupied voxel, rows ordered by voxel key.
+
+    The integer voxel keys are folded into one int64 per point (offset by
+    the per-axis minimum, mixed radix over the per-axis spans), whose sort
+    order is the lexicographic order of the key rows, so a 1-D unique groups
+    the voxels without a row-wise sort.  When the spans' product does not
+    fit in an int64 the rows are lexsorted instead, in the same order.
+    """
     dim = pts.shape[1]
+    if pts.shape[0] == 0:
+        return np.empty((0, dim))
+    keys = np.floor(pts / voxel).astype(np.int64)
+    keys -= keys.min(axis=0)
+    spans = [int(s) + 1 for s in keys.max(axis=0)]
+    if math.prod(spans) <= np.iinfo(np.int64).max:
+        flat = keys[:, 0].copy()
+        for d in range(1, dim):
+            flat *= spans[d]
+            flat += keys[:, d]
+        _, inverse, counts = np.unique(flat, return_inverse=True, return_counts=True)
+    else:
+        order = np.lexsort(keys.T[::-1])
+        ordered = keys[order]
+        start = np.concatenate(([True], (ordered[1:] != ordered[:-1]).any(axis=1)))
+        inverse = np.empty(len(keys), dtype=np.int64)
+        inverse[order] = np.cumsum(start) - 1
+        counts = np.diff(np.append(np.flatnonzero(start), len(keys)))
     sums = np.zeros((counts.shape[0], dim))
     for d in range(dim):
         sums[:, d] = np.bincount(inverse, weights=pts[:, d])
     return sums / counts[:, None]
+
+
+def _gated_mse(dist: np.ndarray, gate_m: float) -> float:
+    """Mean squared nearest-neighbor distance within the gate; inf when none is."""
+    m = dist <= gate_m
+    return float((dist[m] ** 2).mean()) if m.any() else np.inf
 
 
 def extract_compact_2d(
@@ -239,10 +273,8 @@ def nicp_2d(
         if np.hypot(dtx, dty) < tol_t and abs(dyaw) < tol_yaw:
             converged = True
             break
-    p = transform_xy(src.points, tx, ty, yaw)
-    dist, _ = tree.query(p)
-    m = dist <= gate_end_m
-    mse = float((dist[m] ** 2).mean()) if m.any() else np.inf
+    dist, _ = tree.query(transform_xy(src.points, tx, ty, yaw))
+    mse = _gated_mse(dist, gate_end_m)
     return Se2Pose(float(tx), float(ty), wrap_angle(yaw), mse, converged, trace=trace)
 
 
@@ -285,10 +317,8 @@ def alignment_mse_3d(
     b = _voxel_centroids(candidate.xyz, voxel_m)
     if a.shape[0] == 0 or b.shape[0] == 0:
         return np.inf
-    p = a @ matrix[:3, :3].T + matrix[:3, 3]
-    dist, _ = cKDTree(b).query(p)
-    m = dist <= gate_m
-    return float((dist[m] ** 2).mean()) if m.any() else np.inf
+    dist, _ = cKDTree(b).query(a @ matrix[:3, :3].T + matrix[:3, 3])
+    return _gated_mse(dist, gate_m)
 
 
 def refine_pose_3d(
@@ -299,7 +329,7 @@ def refine_pose_3d(
     max_iters: int = 20,
     gate_start_m: float = 2.0,
     gate_end_m: float = 0.5,
-    success_mse: float = 1.5,
+    success_mse: float = STAGE2_SUCCESS_MSE,
 ) -> Se3Pose:
     """Point-to-point 3D refinement of a planar pose.
 
@@ -311,25 +341,18 @@ def refine_pose_3d(
     a = _voxel_centroids(query.xyz, voxel_m)
     b = _voxel_centroids(candidate.xyz, voxel_m)
     t = se2_to_matrix(init)
-
-    def gated_mse(mat):
-        if a.shape[0] == 0 or b.shape[0] == 0:
-            return np.inf
-        p = a @ mat[:3, :3].T + mat[:3, 3]
-        dist, _ = tree.query(p)
-        m = dist <= gate_end_m
-        return float((dist[m] ** 2).mean()) if m.any() else np.inf
-
     if a.shape[0] < 10 or b.shape[0] < 10:
         return matrix_to_se3(t, mse=np.inf, converged=False, success=False)
     tree = cKDTree(b)
-    init_mse = gated_mse(t)
+    # the seed pose's correspondences are iteration 0's as well
+    seed = tree.query(a @ t[:3, :3].T + t[:3, 3])
+    init_mse = _gated_mse(seed[0], gate_end_m)
     converged = False
     for it in range(max_iters):
         frac = it / max(max_iters - 1, 1)
         gate = gate_start_m + (gate_end_m - gate_start_m) * frac
         p = a @ t[:3, :3].T + t[:3, 3]
-        dist, j = tree.query(p)
+        dist, j = seed if it == 0 else tree.query(p)
         m = dist <= gate
         if m.sum() < 3:
             break
@@ -350,7 +373,8 @@ def refine_pose_3d(
         if np.linalg.norm(tvec) < 1e-3 and angle < 1e-4:
             converged = True
             break
-    final_mse = gated_mse(t)
+    if converged:
+        final_mse = _gated_mse(tree.query(a @ t[:3, :3].T + t[:3, 3])[0], gate_end_m)
     if not converged or final_mse > init_mse:
         return matrix_to_se3(
             se2_to_matrix(init),

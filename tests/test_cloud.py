@@ -1,10 +1,13 @@
 """Point-cloud IO, cropping, and ground removal."""
 
 import struct
+import warnings
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
 
+from fresco import cloud as cloud_mod
 from fresco.cloud import (
     FormatError,
     PointCloud,
@@ -178,3 +181,84 @@ def test_remove_ground_never_synthesizes_points():
     out = remove_ground(PointCloud(xyz=xyz))
     have = {tuple(row) for row in xyz.tolist()}
     assert all(tuple(row) in have for row in out.xyz.tolist())
+
+
+def _whole_grid_median(grid):
+    """The former donor rule: nanmedian over every cell's 8 neighbors."""
+    nr, nc = grid.shape
+    pad = np.full((nr + 2, nc + 2), np.nan)
+    pad[1:-1, 1:-1] = grid
+    stack = np.stack(
+        [
+            pad[1 + dr : 1 + dr + nr, 1 + dc : 1 + dc + nc]
+            for dr in (-1, 0, 1)
+            for dc in (-1, 0, 1)
+            if (dr, dc) != (0, 0)
+        ]
+    )
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        return np.nanmedian(stack, axis=0).ravel()
+
+
+def _sparse_ground_scene(seed):
+    """Structure on a ground whose density falls with range, so that the
+    outer cells hold one or two ground returns."""
+    from fresco import synth
+
+    rng = np.random.default_rng(seed)
+    scene = synth.generate(synth.SceneSpec(seed=seed, pillars=16, walls=4, rings=1))
+    r = rng.uniform(1.0, 30.0, 6000)
+    a = rng.uniform(0.0, 2.0 * np.pi, r.size)
+    ground = np.column_stack([r * np.cos(a), r * np.sin(a), rng.normal(-1.73, 0.02, r.size)])
+    return PointCloud(xyz=np.vstack([scene.xyz, ground]))
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_neighbor_median_matches_whole_grid_nanmedian(seed):
+    rng = np.random.default_rng(seed)
+    nr, nc = rng.integers(1, 12, 2)
+    grid = rng.normal(-1.7, 0.3, (nr, nc))
+    grid[rng.random((nr, nc)) < rng.uniform(0.2, 0.9)] = np.nan
+    cells = np.flatnonzero(rng.random(nr * nc) < 0.5)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        got = cloud_mod._neighbor_median(grid, cells)
+    np.testing.assert_array_equal(got, _whole_grid_median(grid)[cells])
+
+
+def _sparse_cells(cloud, cell_m=1.0):
+    """Flat indices of the grid cells holding one or two points."""
+    x, y, _ = clip_height_band(cloud).xyz.T
+    ci = np.floor((x - x.min()) / cell_m).astype(np.int64)
+    cj = np.floor((y - y.min()) / cell_m).astype(np.int64)
+    count = np.bincount(ci * (int(cj.max()) + 1) + cj)
+    return np.flatnonzero((count > 0) & (count < 3))
+
+
+def test_sparse_cell_ground_mask_matches_whole_grid_rule(monkeypatch):
+    scans = [_sparse_ground_scene(seed) for seed in (21, 22, 23)]
+    shipped = [remove_ground(c).xyz for c in scans]
+    calls = []
+
+    def oracle(grid, cells):
+        out = _whole_grid_median(grid)[cells]
+        calls.append((cells, int(np.isfinite(out).sum())))
+        return out
+
+    monkeypatch.setattr(cloud_mod, "_neighbor_median", oracle)
+    for c, got in zip(scans, shipped):
+        np.testing.assert_array_equal(got, remove_ground(c).xyz)
+    # only the sparse cells borrow a floor, and every scan has donors
+    for c, (cells, donors) in zip(scans, calls):
+        np.testing.assert_array_equal(cells, _sparse_cells(c))
+        assert donors > 0
+
+
+def test_remove_ground_in_threads_raises_no_runtime_warning():
+    scans = [_sparse_ground_scene(seed) for seed in (31, 32, 33, 34)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with ThreadPoolExecutor(max_workers=2) as pool:
+            outs = list(pool.map(remove_ground, scans))
+    assert all(0 < len(o) < len(c) for o, c in zip(outs, scans))

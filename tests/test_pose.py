@@ -1,8 +1,14 @@
 """Planar alignment, its 180-degree disambiguation, and the 3D refinement."""
 
+from dataclasses import astuple
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
+from fresco import pose as pose_mod
 from fresco import synth
 from fresco.cloud import PointCloud
 from fresco.pose import (
@@ -233,3 +239,110 @@ def test_alignment_mse_obeys_the_gate():
     m = se2_to_matrix(Se2Pose(50.0, 50.0, 0.0))
     assert alignment_mse_3d(cloud, cloud, m, gate_m=0.5) == np.inf
     assert alignment_mse_3d(cloud, cloud, np.eye(4)) == pytest.approx(0.0, abs=1e-12)
+
+
+def _voxel_centroids_by_row_unique(pts, voxel):
+    """The former voxel grid, kept as the oracle: a row-wise np.unique."""
+    keys = np.floor(pts / voxel).astype(np.int64)
+    _, inverse, counts = np.unique(keys, axis=0, return_inverse=True, return_counts=True)
+    dim = pts.shape[1]
+    sums = np.zeros((counts.shape[0], dim))
+    for d in range(dim):
+        sums[:, d] = np.bincount(inverse, weights=pts[:, d])
+    return sums / counts[:, None]
+
+
+_VOXELS = st.sampled_from([0.25, 0.4, 0.5, 1.0])
+
+
+@st.composite
+def _voxel_inputs(draw):
+    """Points mixing arbitrary negative and positive coordinates with exact
+    voxel boundaries, with some rows repeated."""
+    voxel = draw(_VOXELS)
+    dim = draw(st.sampled_from([2, 3]))
+    n = draw(st.integers(0, 60))
+    coord = st.one_of(
+        st.floats(-60.0, 60.0, allow_nan=False, allow_infinity=False),
+        st.integers(-40, 40).map(lambda k: k * voxel),
+    )
+    pts = draw(arrays(np.float64, (n, dim), elements=coord))
+    if n:
+        repeat = draw(st.lists(st.integers(0, n - 1), max_size=n))
+        pts = np.vstack([pts, pts[repeat]])
+    return pts, voxel
+
+
+@settings(max_examples=200, deadline=None)
+@given(_voxel_inputs())
+def test_voxel_centroids_equal_the_row_unique_oracle(case):
+    pts, voxel = case
+    got = pose_mod._voxel_centroids(pts, voxel)
+    want = _voxel_centroids_by_row_unique(pts, voxel)
+    assert got.shape == want.shape == (want.shape[0], pts.shape[1])
+    np.testing.assert_array_equal(got, want)
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_voxel_centroids_of_nothing_keep_the_dimension(dim):
+    assert pose_mod._voxel_centroids(np.empty((0, dim)), 0.4).shape == (0, dim)
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_voxel_centroids_lexsort_fallback_on_huge_spans(dim):
+    rng = np.random.default_rng(dim)
+    pts = rng.uniform(-1e6, 1e6, (300, dim))
+    pts[:, 0] = np.round(pts[:, 0], -5)  # shared leading keys
+    pts = np.vstack([pts, pts[:50]])
+    voxel = 1e-6
+    keys = np.floor(pts / voxel).astype(np.int64)
+    spans = keys.max(axis=0) - keys.min(axis=0) + 1
+    assert np.prod(spans.astype(float)) > np.iinfo(np.int64).max
+    np.testing.assert_array_equal(
+        pose_mod._voxel_centroids(pts, voxel), _voxel_centroids_by_row_unique(pts, voxel)
+    )
+
+
+def _revisit_pair(seed):
+    """A synth scene and its re-observation 0.8 m and 30 degrees away; the
+    query-to-candidate pose is (0.8, -0.5, 30 degrees)."""
+    scene = _scene(seed)
+    return synth.perturb(scene, tx=0.8, ty=-0.5, yaw_deg=30.0), scene
+
+
+_SEEDS = {
+    "converged": Se2Pose(0.8, -0.5, np.radians(31.0)),
+    "pass-through": Se2Pose(0.0, 0.0, np.radians(210.0)),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_SEEDS))
+def test_pose_layer_equals_the_row_unique_voxel_grid(case, monkeypatch):
+    query, cand = _revisit_pair(71)
+    init = _SEEDS[case]
+    shipped = (
+        astuple(refine_pose_3d(query, cand, init)),
+        alignment_mse_3d(query, cand, se2_to_matrix(init)),
+        extract_compact_2d(query),
+    )
+    monkeypatch.setattr(pose_mod, "_voxel_centroids", _voxel_centroids_by_row_unique)
+    oracle = (
+        astuple(refine_pose_3d(query, cand, init)),
+        alignment_mse_3d(query, cand, se2_to_matrix(init)),
+        extract_compact_2d(query),
+    )
+    assert shipped[0] == oracle[0]
+    assert shipped[0][7] == (case == "converged")  # converged field
+    assert shipped[1] == oracle[1]
+    np.testing.assert_array_equal(shipped[2].points, oracle[2].points)
+    np.testing.assert_array_equal(shipped[2].normals, oracle[2].normals)
+
+
+@pytest.mark.parametrize("seed", [72, 73])
+def test_refine_pass_through_reports_the_seed_alignment_mse(seed):
+    query, cand = _revisit_pair(seed)
+    init = _SEEDS["pass-through"]
+    est = refine_pose_3d(query, cand, init, voxel_m=0.4)
+    assert not est.converged
+    assert est.mse == alignment_mse_3d(query, cand, se2_to_matrix(init), 0.4)
+    assert (est.tx, est.ty) == (init.tx, init.ty)
