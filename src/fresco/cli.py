@@ -11,7 +11,6 @@ import argparse
 import json
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -22,11 +21,11 @@ from .config import (
     ConfigError,
     apply_overrides,
     load_config,
-    thread_count,
+    thread_map,
     validate,
 )
 from .datasets import load_dataset, load_scan
-from .evaluate import _json_safe, run_evaluation
+from .evaluate import json_safe, run_evaluation
 from .index import DegenerateDescriptorError, KeyframeIndex
 from .pipeline import describe, stage1_pose
 from .pose import InsufficientStructureError, shift_to_rotation, wrap_angle
@@ -107,16 +106,7 @@ def cmd_build(args, cfg: Config) -> int:
     idx = KeyframeIndex(exclusion_horizon=cfg.exclusion_horizon)
     ids = list(dataset.scans)
     t0 = time.perf_counter()
-    workers = thread_count()
-
-    def descriptor(fid):
-        return describe(load_scan(dataset.scans[fid]), cfg)
-
-    if workers > 1 and ids:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            descs = list(pool.map(descriptor, ids))
-    else:
-        descs = [descriptor(fid) for fid in ids]
+    descs = thread_map(lambda fid: describe(load_scan(dataset.scans[fid]), cfg), ids)
     for fid, desc in zip(ids, descs):
         idx.insert(fid, desc)
     idx.save(args.out)
@@ -151,7 +141,7 @@ def cmd_query(args, cfg: Config) -> int:
         "rotation_deg": res.rotation_deg,
         "pose": pose,
     }
-    print(json.dumps(_json_safe(out), sort_keys=True))
+    print(json.dumps(json_safe(out), sort_keys=True))
     return 0
 
 

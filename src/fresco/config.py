@@ -5,6 +5,7 @@ from __future__ import annotations
 import dataclasses
 import json
 import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 
@@ -148,3 +149,13 @@ def thread_count(env: str = "FRESCO_THREADS") -> int:
         return max(1, int(os.environ.get(env, "1")))
     except ValueError:
         return 1
+
+
+def thread_map(fn, items) -> list:
+    """``[fn(x) for x in items]``, in order, on up to ``thread_count()`` threads."""
+    items = list(items)
+    workers = min(thread_count(), len(items))
+    if workers <= 1:
+        return [fn(x) for x in items]
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        return list(pool.map(fn, items))

@@ -10,35 +10,30 @@ curve plus the operating point of the configured thresholds.
 
 from __future__ import annotations
 
+import functools
 import json
 import time
-from collections import OrderedDict
-from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .bev import make_bev
-from .cloud import FormatError, PointCloud
-from .config import Config, thread_count, to_dict
+from .cloud import FormatError
+from .config import Config, thread_map, to_dict
 from .datasets import Dataset, TrajectoryPose, load_scan
 from .index import DegenerateDescriptorError, KeyframeIndex
-from .pipeline import preprocess
+from .pipeline import compact_2d, describe, planar_pose, preprocess
 from .pose import (
     STAGE2_SUCCESS_MSE,
     InsufficientStructureError,
     Se3Pose,
     alignment_mse_3d,
-    estimate_pose_stage1,
-    extract_compact_2d,
     matrix_to_se3,
     refine_pose_3d,
     se2_to_matrix,
     wrap_angle,
 )
-from .spectrum import log_spectrum, polar_unroll
 
 
 def sample_keyframes(poses: list[TrajectoryPose], spacing_m: float) -> list[int]:
@@ -279,35 +274,16 @@ def trajectory_svg(path_xy, tp_segments, fp_segments, out_path, size: float = 80
     Path(out_path).write_text("\n".join(lines) + "\n")
 
 
-class _CloudCache:
-    """Keeps the most recently used preprocessed clouds; loads on miss."""
-
-    def __init__(self, dataset: Dataset, cfg: Config, cap: int = 16):
-        self._dataset = dataset
-        self._cfg = cfg
-        self._cap = cap
-        self._store: OrderedDict[int, PointCloud] = OrderedDict()
-
-    def get(self, fid: int) -> PointCloud:
-        if fid in self._store:
-            self._store.move_to_end(fid)
-            return self._store[fid]
-        cloud = preprocess(load_scan(self._dataset.scans[fid]), self._cfg)
-        self._store[fid] = cloud
-        if len(self._store) > self._cap:
-            self._store.popitem(last=False)
-        return cloud
-
-
 def _fmt(v) -> str:
     return repr(float(v))
 
 
-def _json_safe(obj):
+def json_safe(obj):
+    """Copy of ``obj`` that ``json.dumps`` accepts; non-finite floats become None."""
     if isinstance(obj, dict):
-        return {k: _json_safe(v) for k, v in obj.items()}
+        return {k: json_safe(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
-        return [_json_safe(v) for v in obj]
+        return [json_safe(v) for v in obj]
     if isinstance(obj, (float, np.floating)):
         return float(obj) if np.isfinite(obj) else None
     if isinstance(obj, np.integer):
@@ -348,41 +324,23 @@ def run_evaluation(
     def compute_descriptor(fid: int):
         cloud = load_scan(dataset.scans[fid])  # IO outside the timed region
         t0 = time.perf_counter()
-        pre = preprocess(cloud, cfg)
-        bev = make_bev(pre, cfg.window_m, cfg.grid_size)
-        desc = polar_unroll(
-            log_spectrum(bev), cfg.crop_size, cfg.radial_bins, cfg.angular_bins
-        )
-        return desc, time.perf_counter() - t0
+        return describe(cloud, cfg), time.perf_counter() - t0
 
-    workers = thread_count()
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            computed = list(pool.map(compute_descriptor, kf))
-    else:
-        computed = [compute_descriptor(fid) for fid in kf]
     descs = []
-    for desc, seconds in computed:
+    for desc, seconds in thread_map(compute_descriptor, kf):
         timer.add("descriptor", seconds)
         descs.append(desc)
 
     kf_pos = np.array([positions[fid] for fid in kf]) if kf else np.zeros((0, 3))
     radius = cfg.tp_radius_m
-    clouds = _CloudCache(dataset, cfg)
-    compacts: dict[int, object] = {}
 
+    @functools.lru_cache(maxsize=16)
+    def cloud_of(fid: int):
+        return preprocess(load_scan(dataset.scans[fid]), cfg)
+
+    @functools.cache
     def compact_of(fid: int):
-        if fid not in compacts:
-            pre = clouds.get(fid)
-            compacts[fid] = extract_compact_2d(
-                pre,
-                cfg.coarse_grid_m,
-                cfg.cell_cap,
-                cfg.voxel_m,
-                cfg.normal_neighbors,
-                cfg.max_flatness_ratio,
-            )
-        return compacts[fid]
+        return compact_2d(cloud_of(fid), cfg)
 
     idx = KeyframeIndex(exclusion_horizon=cfg.exclusion_horizon)
     records: list[QueryRecord] = []
@@ -432,26 +390,16 @@ def run_evaluation(
         cand = res.candidate_id
         try:
             with timer.phase("stage1"):
-                est2 = estimate_pose_stage1(
-                    compact_of(fid),
-                    compact_of(cand),
-                    res.best_shift,
-                    cfg.angular_bins,
-                    max_iters=cfg.nicp_max_iters,
-                    gate_start_m=cfg.nicp_gate_start_m,
-                    gate_end_m=cfg.nicp_gate_end_m,
-                )
+                est2 = planar_pose(compact_of(fid), compact_of(cand), res.best_shift, cfg)
         except InsufficientStructureError:
             est3 = Se3Pose(np.nan, np.nan, np.nan, np.nan, np.nan, np.nan)
         else:
             if cfg.stage2:
                 with timer.phase("stage2"):
-                    est3 = refine_pose_3d(
-                        clouds.get(fid), clouds.get(cand), est2, cfg.voxel_m
-                    )
+                    est3 = refine_pose_3d(cloud_of(fid), cloud_of(cand), est2, cfg.voxel_m)
             else:
                 mse3 = alignment_mse_3d(
-                    clouds.get(fid), clouds.get(cand), se2_to_matrix(est2), cfg.voxel_m
+                    cloud_of(fid), cloud_of(cand), se2_to_matrix(est2), cfg.voxel_m
                 )
                 est3 = matrix_to_se3(
                     se2_to_matrix(est2),
@@ -534,6 +482,6 @@ def run_evaluation(
         "config": to_dict(cfg),
     }
     (out_dir / "report.json").write_text(
-        json.dumps(_json_safe(report), indent=2, sort_keys=True) + "\n"
+        json.dumps(json_safe(report), indent=2, sort_keys=True) + "\n"
     )
     return report

@@ -1,4 +1,11 @@
-"""Cloud-to-descriptor pipeline wired through a Config."""
+"""Cloud-to-descriptor and stage-1 pose pipeline wired through a Config.
+
+This is the one module that turns ``Config`` fields into layer calls:
+``preprocess`` (crop and ground removal), ``describe`` (BEV, log spectrum,
+polar descriptor), ``compact_2d`` (planar registration input) and
+``planar_pose`` (two-branch planar NICP).  The CLI and the evaluation
+harness call these instead of unpacking the config themselves.
+"""
 
 from __future__ import annotations
 
@@ -7,7 +14,7 @@ import numpy as np
 from .bev import make_bev
 from .cloud import PointCloud, crop_window, remove_ground
 from .config import Config
-from .pose import Se2Pose, estimate_pose_stage1, extract_compact_2d
+from .pose import Compact2dCloud, Se2Pose, estimate_pose_stage1, extract_compact_2d
 from .spectrum import log_spectrum, polar_unroll
 
 
@@ -23,10 +30,10 @@ def describe(cloud: PointCloud, cfg: Config) -> np.ndarray:
     return polar_unroll(log_spectrum(bev), cfg.crop_size, cfg.radial_bins, cfg.angular_bins)
 
 
-def compact_2d(cloud: PointCloud, cfg: Config):
-    """Preprocess and condense a cloud for planar registration."""
+def compact_2d(pre: PointCloud, cfg: Config) -> Compact2dCloud:
+    """Condense an already ``preprocess``ed cloud for planar registration."""
     return extract_compact_2d(
-        preprocess(cloud, cfg),
+        pre,
         cfg.coarse_grid_m,
         cfg.cell_cap,
         cfg.voxel_m,
@@ -35,16 +42,28 @@ def compact_2d(cloud: PointCloud, cfg: Config):
     )
 
 
-def stage1_pose(
-    query: PointCloud, candidate: PointCloud, best_shift: int, cfg: Config
+def planar_pose(
+    query: Compact2dCloud, candidate: Compact2dCloud, best_shift: int, cfg: Config
 ) -> Se2Pose:
-    """Stage-1 relative pose between two raw clouds given the descriptor shift."""
+    """Stage-1 relative pose between two compact clouds given the descriptor shift."""
     return estimate_pose_stage1(
-        compact_2d(query, cfg),
-        compact_2d(candidate, cfg),
+        query,
+        candidate,
         best_shift,
         cfg.angular_bins,
         max_iters=cfg.nicp_max_iters,
         gate_start_m=cfg.nicp_gate_start_m,
         gate_end_m=cfg.nicp_gate_end_m,
+    )
+
+
+def stage1_pose(
+    query: PointCloud, candidate: PointCloud, best_shift: int, cfg: Config
+) -> Se2Pose:
+    """Stage-1 relative pose between two raw clouds given the descriptor shift."""
+    return planar_pose(
+        compact_2d(preprocess(query, cfg), cfg),
+        compact_2d(preprocess(candidate, cfg), cfg),
+        best_shift,
+        cfg,
     )

@@ -40,6 +40,14 @@ def test_build_reports_count_and_is_deterministic(places, tmp_path, capsys):
     assert again.read_bytes() == index.read_bytes()
 
 
+def test_build_is_byte_identical_at_any_thread_count(places, tmp_path, monkeypatch):
+    root, _, _ = places
+    for threads in ("1", "2"):
+        monkeypatch.setenv("FRESCO_THREADS", threads)
+        assert main(["build", "--dataset", str(root), "--out", str(tmp_path / threads)]) == 0
+    assert (tmp_path / "1").read_bytes() == (tmp_path / "2").read_bytes()
+
+
 def test_build_empty_dataset_warns_but_succeeds(tmp_path, capsys):
     empty = tmp_path / "nothing"
     empty.mkdir()

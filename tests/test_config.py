@@ -1,6 +1,8 @@
-"""Configuration loading, validation, coercion, and overrides."""
+"""Configuration loading, validation, coercion, overrides, and the thread fan-out."""
 
 import json
+import threading
+import time
 
 import pytest
 
@@ -11,6 +13,7 @@ from fresco.config import (
     from_dict,
     load_config,
     thread_count,
+    thread_map,
     to_dict,
     validate,
 )
@@ -103,3 +106,35 @@ def test_thread_count_env(monkeypatch):
     assert thread_count() == 1
     monkeypatch.setenv("FRESCO_THREADS", "many")
     assert thread_count() == 1
+
+
+@pytest.mark.parametrize("threads", ["1", "2", "4"])
+def test_thread_map_keeps_order(monkeypatch, threads):
+    monkeypatch.setenv("FRESCO_THREADS", threads)
+    items = list(range(12))
+
+    def slow_square(x):
+        time.sleep(0.002 * (12 - x))  # early items finish last
+        return x * x
+
+    assert thread_map(slow_square, items) == [x * x for x in items]
+    assert thread_map(slow_square, iter(items)) == [x * x for x in items]
+
+
+@pytest.mark.parametrize("threads", ["1", "2"])
+def test_thread_map_empty_and_single(monkeypatch, threads):
+    monkeypatch.setenv("FRESCO_THREADS", threads)
+    assert thread_map(lambda x: 1 / 0, []) == []
+    assert thread_map(lambda x: x + 1, [41]) == [42]
+    with pytest.raises(ZeroDivisionError):
+        thread_map(lambda x: 1 / x, [0])
+
+
+def test_thread_map_runs_concurrently_when_asked(monkeypatch):
+    # both calls must be in flight at once to pass the barrier
+    barrier = threading.Barrier(2, timeout=10)
+    monkeypatch.setenv("FRESCO_THREADS", "2")
+    assert thread_map(lambda x: (barrier.wait(), x)[1], ["a", "b"]) == ["a", "b"]
+    monkeypatch.setenv("FRESCO_THREADS", "1")
+    here = threading.current_thread()
+    assert thread_map(lambda _: threading.current_thread(), [0, 1]) == [here, here]

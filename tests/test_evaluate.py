@@ -282,6 +282,21 @@ def test_run_evaluation_is_deterministic(trip_dataset, trip_report, tmp_path):
         assert (out / name).read_bytes() == (first_out / name).read_bytes(), name
 
 
+def test_run_evaluation_is_byte_identical_at_any_thread_count(
+    trip_dataset, monkeypatch, tmp_path
+):
+    from fresco.config import Config
+    from fresco.datasets import load_dataset
+    from fresco.evaluate import run_evaluation
+
+    dataset = load_dataset(trip_dataset, "generic")
+    for threads in ("1", "2"):
+        monkeypatch.setenv("FRESCO_THREADS", threads)
+        run_evaluation(dataset, Config(exclusion_horizon=5), tmp_path / threads)
+    for name in ("matches.csv", "pr_curve.csv", "poses.csv"):
+        assert (tmp_path / "1" / name).read_bytes() == (tmp_path / "2" / name).read_bytes(), name
+
+
 def test_run_evaluation_requires_poses(tmp_path):
     from fresco.config import Config
     from fresco.datasets import load_dataset
