@@ -155,7 +155,8 @@ class KeyframeIndex:
         dists = table.min(axis=1)
         best = int(np.argmin(dists))
         best_id, d_l1, shift = ids[best], float(dists[best]), int(shifts[best])
-        d_r = row_cosine(desc, circular_shift(self.descriptor(best_id), shift))
+        # shift(desc, k) ~ candidate, so the candidate aligned to desc is shift(candidate, -k)
+        d_r = row_cosine(desc, circular_shift(self.descriptor(best_id), -shift))
         accepted = d_l1 <= l1_threshold and d_r <= cosine_threshold
         return MatchResult(
             best_id, d_l1, d_r, shift, shift_to_rotation(shift, desc.shape[1]), accepted

@@ -284,6 +284,19 @@ def test_match_ties_go_to_smaller_id_and_smaller_shift():
     assert res.d_l1 == 0.0
 
 
+def test_match_cosine_check_sees_the_aligned_candidate():
+    rng = np.random.default_rng(18)
+    d = _rand_desc(rng, 32, 120)
+    idx = KeyframeIndex(exclusion_horizon=0)
+    idx.insert(0, d)
+    # a copy turned by 25 columns: shift(query, 25) reproduces the stored one
+    res = idx.match(np.roll(d, -25, axis=1), 1, np.inf, 0.10)
+    assert res.best_shift == 25
+    assert res.d_l1 == 0.0
+    assert res.d_r == pytest.approx(0.0, abs=1e-12)
+    assert res.accepted
+
+
 def test_descriptor_lookup_by_id():
     rng = np.random.default_rng(17)
     idx = KeyframeIndex()
