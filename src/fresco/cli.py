@@ -117,6 +117,12 @@ def cmd_build(args, cfg: Config) -> int:
 
 def cmd_query(args, cfg: Config) -> int:
     idx = KeyframeIndex.load(args.index, exclusion_horizon=cfg.exclusion_horizon)
+    if len(idx):
+        shape = idx.descriptor(idx.ids[0]).shape
+        for field, have in zip(("radial_bins", "angular_bins"), shape):
+            want = getattr(cfg, field)
+            if have != want:
+                raise ConfigError(f"{field} is {want}; {args.index} was built with {field}={have}")
     cloud = load_scan(args.cloud)
     desc = describe(cloud, cfg)
     res = idx.match(desc, cfg.num_candidates, cfg.l1_threshold, cfg.cosine_threshold)

@@ -196,6 +196,12 @@ class KeyframeIndex:
             off += key_bytes
             desc = descriptor_from_bytes(raw[off : off + blob_bytes])
             off += blob_bytes
+            if desc.shape != (rows, cols):
+                raise FormatError(
+                    f"{path}: frame {fid} descriptor is {desc.shape}, header says {(rows, cols)}"
+                )
+            if not (np.isfinite(key).all() and np.isfinite(desc).all()):
+                raise FormatError(f"{path}: frame {fid} has a non-finite key or descriptor value")
             idx._ids.append(int(fid))
             idx._keys.append(key)
             idx._descs.append(desc)

@@ -188,6 +188,34 @@ def test_corrupt_index_is_an_io_error(places, tmp_path, capsys):
     assert "fresco:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("field, value", [("angular_bins", 90), ("radial_bins", 16)])
+def test_query_geometry_must_match_the_index(places, tmp_path, capsys, field, value):
+    root, index, _ = places
+    overrides = ["--set", "exclusion_horizon=0", "--set", f"{field}={value}"]
+    code = main(["query", str(root / "000001.bin"), "--index", str(index)] + overrides)
+    assert code == 1
+    err = capsys.readouterr().err
+    assert "config error" in err and f"built with {field}=" in err
+    # an empty index holds no descriptors to disagree with
+    empty = tmp_path / "empty.frix"
+    KeyframeIndex().save(empty)
+    assert main(["query", str(root / "000001.bin"), "--index", str(empty)] + overrides) == 0
+    assert json.loads(capsys.readouterr().out)["match"] is None
+
+
+@pytest.mark.parametrize("part", ["key", "descriptor"])
+def test_non_finite_index_value_is_a_format_error(places, tmp_path, capsys, part):
+    root, index, _ = places
+    raw = bytearray(index.read_bytes())
+    rows = 32  # default radial_bins; the key holds 2 * rows floats
+    where = 24 + 8 + (4 if part == "key" else 8 * rows + 12 + 4 * 7)
+    raw[where : where + 4] = np.array([np.inf if part == "key" else np.nan], dtype="<f4").tobytes()
+    bad = tmp_path / "poisoned.frix"
+    bad.write_bytes(bytes(raw))
+    assert main(["query", str(root / "000000.bin"), "--index", str(bad)]) == 2
+    assert "non-finite" in capsys.readouterr().err
+
+
 def test_eval_output_path_collision_is_an_io_error(places, tmp_path, capsys):
     root, _, _ = places
     blocker = tmp_path / "taken"

@@ -227,6 +227,24 @@ def test_load_rejects_corrupt_files(tmp_path):
     with pytest.raises(FormatError):
         KeyframeIndex.load(bad)
 
+    # header, then per entry: u64 id, 2*rows f32 key, 12-byte blob header, descriptor
+    rows, cols = 8, 12
+    second = 24 + 8 + 8 * rows + 12 + 4 * rows * cols
+    for where in (second + 8 + 4, second + 8 + 8 * rows + 12 + 4 * 5):
+        poisoned = bytearray(raw)
+        poisoned[where : where + 4] = np.array([np.nan], dtype="<f4").tobytes()
+        bad.write_bytes(bytes(poisoned))
+        with pytest.raises(FormatError, match="non-finite"):
+            KeyframeIndex.load(bad)
+
+    # a descriptor blob whose own geometry disagrees with the header
+    swapped = bytearray(raw)
+    blob = 24 + 8 + 8 * rows
+    swapped[blob + 4 : blob + 12] = np.array([cols, rows], dtype="<u4").tobytes()
+    bad.write_bytes(bytes(swapped))
+    with pytest.raises(FormatError, match="header says"):
+        KeyframeIndex.load(bad)
+
 
 def _per_candidate_match(idx, q, num_candidates):
     # oracle: score retrieved candidates one at a time with an explicit
