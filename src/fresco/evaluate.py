@@ -54,32 +54,27 @@ def label_match(
     query_id: int,
     match_id: int | None,
     positions: dict[int, np.ndarray],
-    radius: float = 10.0,
-    eligible_ids=None,
+    radius: float,
+    eligible_ids,
 ) -> str:
     """Classify one query outcome as TP / FP / FN / TN.
 
     A returned match within ``radius`` of the query's ground-truth position
     is a TP, farther is an FP.  With no match returned, the outcome is an FN
-    when some eligible prior keyframe (``eligible_ids``, default: every id
-    smaller than the query's) was within radius, else a TN.
+    when some keyframe the index could have returned (``eligible_ids``, see
+    ``KeyframeIndex.eligible_ids``) lies within radius, else a TN.  Unknown
+    ids raise KeyError.
     """
-    if query_id not in positions:
-        raise KeyError(f"unknown frame id {query_id}")
-    q = positions[query_id]
+    others = eligible_ids if match_id is None else [match_id]
+    try:
+        q = np.asarray(positions[query_id], dtype=float)
+        pts = np.array([positions[i] for i in others], dtype=float).reshape(-1, q.size)
+    except KeyError as err:
+        raise KeyError(f"unknown frame id {err.args[0]}") from None
+    near = bool((np.linalg.norm(pts - q, axis=1) <= radius).any())
     if match_id is not None:
-        if match_id not in positions:
-            raise KeyError(f"unknown frame id {match_id}")
-        near = float(np.linalg.norm(positions[match_id] - q)) <= radius
         return "TP" if near else "FP"
-    if eligible_ids is None:
-        eligible_ids = [i for i in positions if i < query_id]
-    for i in eligible_ids:
-        if i not in positions:
-            raise KeyError(f"unknown frame id {i}")
-        if float(np.linalg.norm(positions[i] - q)) <= radius:
-            return "FN"
-    return "TN"
+    return "FN" if near else "TN"
 
 
 @dataclass(frozen=True)
@@ -332,7 +327,6 @@ def run_evaluation(
         descs.append(desc)
 
     kf_pos = np.array([positions[fid] for fid in kf]) if kf else np.zeros((0, 3))
-    radius = cfg.tp_radius_m
 
     @functools.lru_cache(maxsize=16)
     def cloud_of(fid: int):
@@ -363,22 +357,15 @@ def run_evaluation(
             degenerate_frames += 1
             say(f"warning: frame {fid} has a degenerate descriptor; skipped")
             continue
-        n_eligible = max(0, pos - cfg.exclusion_horizon)
-        if n_eligible:
-            dists = np.linalg.norm(kf_pos[:n_eligible] - kf_pos[pos], axis=1)
-            has_positive = bool((dists <= radius).any())
-        else:
-            has_positive = False
-        correct = res.candidate_id is not None and (
-            float(np.linalg.norm(positions[res.candidate_id] - kf_pos[pos])) <= radius
+        eligible = idx.eligible_ids
+        missed = label_match(fid, None, positions, cfg.tp_radius_m, eligible)
+        found = None if res.candidate_id is None else label_match(
+            fid, res.candidate_id, positions, cfg.tp_radius_m, eligible
         )
         records.append(
-            QueryRecord(fid, res.candidate_id, res.d_l1, res.d_r, correct, has_positive)
+            QueryRecord(fid, res.candidate_id, res.d_l1, res.d_r, found == "TP", missed == "FN")
         )
-        if res.accepted:
-            label = "TP" if correct else "FP"
-        else:
-            label = "FN" if has_positive else "TN"
+        label = found if res.accepted else missed
         match_rows.append(
             f"{fid},{'' if res.candidate_id is None else res.candidate_id},"
             f"{_fmt(res.d_l1)},{_fmt(res.d_r)},{res.best_shift},{label}"

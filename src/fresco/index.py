@@ -18,6 +18,7 @@ from .spectrum import descriptor_from_bytes, descriptor_to_bytes
 
 _MAGIC = b"FRIX"
 _VERSION = 1
+_REBUILD_EVERY = 64  # insertions between k-d tree rebuilds
 
 
 class DegenerateDescriptorError(Exception):
@@ -52,19 +53,16 @@ class KeyframeIndex:
     """Insertion-ordered store of (id, key, descriptor).
 
     Retrieval is exact nearest-neighbor over keys: a k-d tree is rebuilt
-    every ``rebuild_every`` insertions and the unindexed tail is scanned
-    linearly, so answers never depend on rebuild timing.  The most recent
+    every 64 insertions and the unindexed tail is scanned linearly, so
+    answers never depend on rebuild timing.  The most recent
     ``exclusion_horizon`` insertions are never returned, which keeps a
     vehicle from matching the scene it is still inside.
     """
 
-    def __init__(self, exclusion_horizon: int = 30, rebuild_every: int = 64):
+    def __init__(self, exclusion_horizon: int = 30):
         if exclusion_horizon < 0:
             raise ValueError("exclusion_horizon must be >= 0")
-        if rebuild_every < 1:
-            raise ValueError("rebuild_every must be >= 1")
         self.exclusion_horizon = exclusion_horizon
-        self.rebuild_every = rebuild_every
         self._ids: list[int] = []
         self._keys: list[np.ndarray] = []
         self._descs: list[np.ndarray] = []
@@ -78,6 +76,11 @@ class KeyframeIndex:
     def ids(self) -> list[int]:
         return list(self._ids)
 
+    @property
+    def eligible_ids(self) -> list[int]:
+        """Ids ``retrieve`` may return: every insertion older than the exclusion horizon."""
+        return self._ids[: max(0, len(self._ids) - self.exclusion_horizon)]
+
     def descriptor(self, frame_id: int) -> np.ndarray:
         """Stored descriptor of ``frame_id``; ValueError if it was never inserted."""
         pos = bisect_left(self._ids, frame_id)  # ids are strictly increasing
@@ -85,17 +88,20 @@ class KeyframeIndex:
             raise ValueError(f"frame id {frame_id} is not in the index")
         return self._descs[pos]
 
-    def insert(self, frame_id: int, desc: np.ndarray) -> None:
-        """Add a frame; ids must be new and strictly increasing."""
+    def _check_next_id(self, frame_id: int) -> None:
         if self._ids and frame_id <= self._ids[-1]:
             raise ValueError(
                 f"frame id {frame_id} not greater than last inserted {self._ids[-1]}"
             )
+
+    def insert(self, frame_id: int, desc: np.ndarray) -> None:
+        """Add a frame; ids must be new and strictly increasing."""
+        self._check_next_id(frame_id)
         key = make_key(desc)  # degenerate frames are rejected, not stored
         self._ids.append(int(frame_id))
         self._keys.append(key)
         self._descs.append(np.asarray(desc, dtype=np.float64))
-        if len(self._ids) % self.rebuild_every == 0:
+        if len(self._ids) % _REBUILD_EVERY == 0:
             self._rebuild()
 
     def _rebuild(self) -> None:
@@ -105,14 +111,14 @@ class KeyframeIndex:
     def retrieve(self, desc: np.ndarray, num_candidates: int) -> list[tuple[int, float]]:
         """Up to ``num_candidates`` eligible (id, key distance) pairs, nearest first.
 
-        Eligible means inserted earlier than the exclusion horizon.  Ties in
-        distance break toward the smaller id so results are reproducible.
+        Only ``eligible_ids`` are returned.  Ties in distance break toward
+        the smaller id so results are reproducible.
         """
         if num_candidates < 1:
             raise ValueError("num_candidates must be >= 1")
         key = make_key(desc)
-        eligible = len(self._ids) - self.exclusion_horizon
-        if eligible <= 0:
+        eligible = len(self.eligible_ids)
+        if not eligible:
             return []
         found: list[tuple[float, int]] = []
         tree_n = min(self._tree_size, eligible)
@@ -176,14 +182,14 @@ class KeyframeIndex:
         Path(path).write_bytes(b"".join(out))
 
     @classmethod
-    def load(cls, path, exclusion_horizon: int = 30, rebuild_every: int = 64) -> "KeyframeIndex":
+    def load(cls, path, exclusion_horizon: int = 30) -> "KeyframeIndex":
         raw = Path(path).read_bytes()
         if len(raw) < 24 or raw[:4] != _MAGIC:
             raise FormatError(f"{path}: not an index file (bad magic)")
         version, rows, cols, count = struct.unpack("<IIIQ", raw[4:24])
         if version != _VERSION:
             raise FormatError(f"{path}: unsupported index version {version}")
-        idx = cls(exclusion_horizon=exclusion_horizon, rebuild_every=rebuild_every)
+        idx = cls(exclusion_horizon=exclusion_horizon)
         off = 24
         key_bytes = 4 * 2 * rows
         blob_bytes = 12 + 4 * rows * cols
@@ -191,6 +197,10 @@ class KeyframeIndex:
             if off + 8 + key_bytes + blob_bytes > len(raw):
                 raise FormatError(f"{path}: truncated at byte offset {off}")
             (fid,) = struct.unpack_from("<Q", raw, off)
+            try:
+                idx._check_next_id(fid)  # descriptor() bisects the ids
+            except ValueError as err:
+                raise FormatError(f"{path}: {err}") from None
             off += 8
             key = np.frombuffer(raw, dtype="<f4", count=2 * rows, offset=off).astype(np.float64)
             off += key_bytes

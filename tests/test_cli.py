@@ -216,6 +216,16 @@ def test_non_finite_index_value_is_a_format_error(places, tmp_path, capsys, part
     assert "non-finite" in capsys.readouterr().err
 
 
+def test_out_of_order_index_ids_are_a_format_error(places, tmp_path, capsys):
+    root, index, _ = places
+    raw = bytearray(index.read_bytes())
+    raw[24:32] = np.array([9], dtype="<u8").tobytes()  # ids now read 9, 1, 2, ...
+    bad = tmp_path / "reordered.frix"
+    bad.write_bytes(bytes(raw))
+    assert main(["query", str(root / "000000.bin"), "--index", str(bad)]) == 2
+    assert "frame id 1" in capsys.readouterr().err
+
+
 def test_eval_output_path_collision_is_an_io_error(places, tmp_path, capsys):
     root, _, _ = places
     blocker = tmp_path / "taken"

@@ -64,24 +64,26 @@ def _positions(*rows):
 
 def test_label_match_cases():
     pos = _positions((0, (0, 0, 0)), (1, (3, 0, 0)), (2, (30, 0, 0)), (3, (100, 0, 0)))
-    assert label_match(1, 0, pos) == "TP"
-    assert label_match(2, 0, pos) == "FP"
-    assert label_match(1, None, pos) == "FN"  # frame 0 was there to find
-    assert label_match(3, None, pos) == "TN"
+    assert label_match(1, 0, pos, 10.0, [0]) == "TP"
+    assert label_match(2, 0, pos, 10.0, [0, 1]) == "FP"
+    assert label_match(1, None, pos, 10.0, [0]) == "FN"  # frame 0 was there to find
+    assert label_match(3, None, pos, 10.0, [0, 1, 2]) == "TN"
 
 
 def test_label_match_eligibility_override():
     pos = _positions((0, (0, 0, 0)), (1, (3, 0, 0)))
     # the only nearby frame is excluded, so missing it is a TN
-    assert label_match(1, None, pos, eligible_ids=[]) == "TN"
+    assert label_match(1, None, pos, 10.0, []) == "TN"
 
 
 def test_label_match_unknown_ids():
     pos = _positions((0, (0, 0, 0)))
     with pytest.raises(KeyError):
-        label_match(5, None, pos)
+        label_match(5, None, pos, 10.0, [0])
     with pytest.raises(KeyError):
-        label_match(0, 9, pos)
+        label_match(0, 9, pos, 10.0, [])
+    with pytest.raises(KeyError):
+        label_match(0, None, pos, 10.0, [7])
 
 
 def _rec(q, cand, d_l1, d_r, correct, has_positive):
@@ -308,3 +310,51 @@ def test_run_evaluation_requires_poses(tmp_path):
     ds = load_dataset(tmp_path, "generic")
     with pytest.raises(FormatError, match="no pose file"):
         run_evaluation(ds, Config(), tmp_path / "out")
+
+
+def test_run_evaluation_labels_against_what_the_index_could_return(tmp_path):
+    """A degenerate frame is never inserted, so missing it is no FN."""
+    from fresco import synth
+    from fresco.config import Config
+    from fresco.datasets import load_dataset
+    from fresco.evaluate import run_evaluation
+    from fresco.index import KeyframeIndex
+    from conftest import write_bin
+
+    # twelve distinct places 2 m apart; frame 5 is an empty scan
+    root = tmp_path / "route"
+    root.mkdir()
+    for i in range(12):
+        spec = synth.SceneSpec(seed=900 + i, pillars=14, walls=4, rings=2, range_limit=30.0)
+        write_bin(root / f"{i:06d}.bin", np.zeros((0, 3)) if i == 5 else synth.generate(spec).xyz)
+    (root / "poses.csv").write_text(
+        "frame,x,y,z,yaw_deg\n" + "".join(f"{i},{2.0 * i},0.0,0.0,0.0\n" for i in range(12))
+    )
+    dataset = load_dataset(root, "generic")
+    cfg = Config(exclusion_horizon=3, tp_radius_m=8.5)
+    report = run_evaluation(dataset, cfg, tmp_path / "out")
+    assert report["dataset"]["degenerate_frames"] == 1
+
+    with open(tmp_path / "out" / "matches.csv") as fh:
+        rows = list(csv.DictReader(fh))
+    labels = {int(r["query"]): r["label"] for r in rows}
+    # frame 5 lies within 8.5 m of queries 6..9, but the index never held it,
+    # and the keyframes those queries could have been given are all farther
+    assert [labels[q] for q in (6, 7, 8, 9)] == ["TN"] * 4
+
+    # replay the index's insertions: eligibility depends on their order only
+    positions = {p.frame_id: p.position for p in dataset.poses}
+    replay = KeyframeIndex(exclusion_horizon=cfg.exclusion_horizon)
+    for r in rows:
+        q = int(r["query"])
+        match = int(r["match"]) if r["match"] else None
+        accepted = (
+            match is not None
+            and float(r["d_l1"]) <= cfg.l1_threshold
+            and float(r["d_r"]) <= cfg.cosine_threshold
+        )
+        want = label_match(
+            q, match if accepted else None, positions, cfg.tp_radius_m, replay.eligible_ids
+        )
+        assert r["label"] == want, q
+        replay.insert(q, np.ones((2, 2)))

@@ -102,11 +102,13 @@ def test_exclusion_horizon_hides_recent_frames():
         idx.insert(i, d)
     got = [fid for fid, _ in idx.retrieve(d, 10)]
     assert got == [0, 1]  # frames 2..4 sit inside the horizon
+    assert idx.eligible_ids == got
 
     short = KeyframeIndex(exclusion_horizon=3)
     for i in range(3):
         short.insert(i, d)
     assert short.retrieve(d, 10) == []
+    assert short.eligible_ids == []
     res = short.match(d, 10, np.inf, np.inf)
     assert res.candidate_id is None
     assert not res.accepted
@@ -243,6 +245,13 @@ def test_load_rejects_corrupt_files(tmp_path):
     swapped[blob + 4 : blob + 12] = np.array([cols, rows], dtype="<u4").tobytes()
     bad.write_bytes(bytes(swapped))
     with pytest.raises(FormatError, match="header says"):
+        KeyframeIndex.load(bad)
+
+    # ids must increase as they do on insert: [9, 1, 2] fails at frame 1
+    reordered = bytearray(raw)
+    reordered[24:32] = np.array([9], dtype="<u8").tobytes()
+    bad.write_bytes(bytes(reordered))
+    with pytest.raises(FormatError, match="frame id 1 not greater than last inserted 9"):
         KeyframeIndex.load(bad)
 
 
