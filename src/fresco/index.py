@@ -14,10 +14,9 @@ from scipy.spatial import cKDTree
 from .cloud import FormatError
 from .matching import circular_shift, row_cosine, shift_l1_table
 from .pose import shift_to_rotation
-from .spectrum import descriptor_from_bytes, descriptor_to_bytes
 
 _MAGIC = b"FRIX"
-_VERSION = 1
+_VERSION = 2
 _REBUILD_EVERY = 64  # insertions between k-d tree rebuilds
 
 
@@ -102,11 +101,8 @@ class KeyframeIndex:
         self._keys.append(key)
         self._descs.append(np.asarray(desc, dtype=np.float64))
         if len(self._ids) % _REBUILD_EVERY == 0:
-            self._rebuild()
-
-    def _rebuild(self) -> None:
-        self._tree = cKDTree(np.vstack(self._keys))
-        self._tree_size = len(self._keys)
+            self._tree = cKDTree(np.vstack(self._keys))
+            self._tree_size = len(self._keys)
 
     def retrieve(self, desc: np.ndarray, num_candidates: int) -> list[tuple[int, float]]:
         """Up to ``num_candidates`` eligible (id, key distance) pairs, nearest first.
@@ -169,54 +165,44 @@ class KeyframeIndex:
         )
 
     def save(self, path) -> None:
-        """Write all entries; little-endian, descriptors in the blob format."""
-        if self._descs:
-            rows, cols = self._descs[0].shape
-        else:
-            rows = cols = 0
-        out = [_MAGIC, struct.pack("<IIIQ", _VERSION, rows, cols, len(self._ids))]
-        for fid, key, desc in zip(self._ids, self._keys, self._descs):
-            out.append(struct.pack("<Q", fid))
-            out.append(np.ascontiguousarray(key, dtype="<f4").tobytes())
-            out.append(descriptor_to_bytes(desc))
-        Path(path).write_bytes(b"".join(out))
+        """Write the header, every frame id as u64, then every descriptor as
+        row-major float32, all little-endian.  Keys are derived, not stored."""
+        rows, cols = self._descs[0].shape if self._descs else (0, 0)
+        header = _MAGIC + struct.pack("<IIIQ", _VERSION, rows, cols, len(self._ids))
+        ids = np.asarray(self._ids, dtype="<u8").tobytes()
+        descs = np.asarray(self._descs, dtype="<f4").tobytes()
+        Path(path).write_bytes(header + ids + descs)
 
     @classmethod
     def load(cls, path, exclusion_horizon: int = 30) -> "KeyframeIndex":
+        """Read a file written by ``save``; the result is exactly the index
+        built by inserting the stored float32 descriptors in file order."""
         raw = Path(path).read_bytes()
         if len(raw) < 24 or raw[:4] != _MAGIC:
             raise FormatError(f"{path}: not an index file (bad magic)")
         version, rows, cols, count = struct.unpack("<IIIQ", raw[4:24])
         if version != _VERSION:
-            raise FormatError(f"{path}: unsupported index version {version}")
+            raise FormatError(
+                f"{path}: index version {version} is not readable (expected {_VERSION}); "
+                "rebuild it with `fresco build`"
+            )
+        expect = 24 + count * (8 + 4 * rows * cols)
+        if len(raw) != expect:
+            raise FormatError(
+                f"{path}: {len(raw)} bytes, expected {expect} for {count} {rows}x{cols} entries"
+            )
         idx = cls(exclusion_horizon=exclusion_horizon)
-        off = 24
-        key_bytes = 4 * 2 * rows
-        blob_bytes = 12 + 4 * rows * cols
-        for _ in range(count):
-            if off + 8 + key_bytes + blob_bytes > len(raw):
-                raise FormatError(f"{path}: truncated at byte offset {off}")
-            (fid,) = struct.unpack_from("<Q", raw, off)
+        if not count:  # rows x cols of an empty file need not fit an array
+            return idx
+        ids = np.frombuffer(raw, dtype="<u8", count=count, offset=24).tolist()
+        descs = np.frombuffer(raw, dtype="<f4", offset=24 + 8 * count).reshape(count, rows, cols)
+        finite = np.isfinite(descs).all(axis=(1, 2))
+        if not finite.all():
+            fid = ids[np.argmin(finite)]
+            raise FormatError(f"{path}: frame {fid} has a non-finite descriptor value")
+        for fid, desc in zip(ids, descs):
             try:
-                idx._check_next_id(fid)  # descriptor() bisects the ids
-            except ValueError as err:
-                raise FormatError(f"{path}: {err}") from None
-            off += 8
-            key = np.frombuffer(raw, dtype="<f4", count=2 * rows, offset=off).astype(np.float64)
-            off += key_bytes
-            desc = descriptor_from_bytes(raw[off : off + blob_bytes])
-            off += blob_bytes
-            if desc.shape != (rows, cols):
-                raise FormatError(
-                    f"{path}: frame {fid} descriptor is {desc.shape}, header says {(rows, cols)}"
-                )
-            if not (np.isfinite(key).all() and np.isfinite(desc).all()):
-                raise FormatError(f"{path}: frame {fid} has a non-finite key or descriptor value")
-            idx._ids.append(int(fid))
-            idx._keys.append(key)
-            idx._descs.append(desc)
-        if off != len(raw):
-            raise FormatError(f"{path}: {len(raw) - off} trailing bytes")
-        if idx._ids:
-            idx._rebuild()
+                idx.insert(fid, desc)
+            except (ValueError, DegenerateDescriptorError) as err:
+                raise FormatError(f"{path}: frame {fid}: {err}") from None
         return idx

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -12,7 +11,6 @@ import numpy as np
 class MatchScore:
     d_l1: float
     best_shift: int
-    d_r: float = math.nan
 
 
 def circular_shift(desc: np.ndarray, k: int) -> np.ndarray:

@@ -11,6 +11,7 @@ import struct
 from pathlib import Path
 
 import numpy as np
+from scipy.ndimage import map_coordinates
 
 from .cloud import FormatError
 
@@ -29,41 +30,21 @@ def log_spectrum(image) -> np.ndarray:
     return np.fft.fftshift(np.log1p(np.abs(np.fft.fft2(data))))
 
 
-def _bilinear(img: np.ndarray, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
-    """Sample img at fractional (row, col) positions; outside the array reads 0."""
-    r0 = np.floor(rows).astype(np.int64)
-    c0 = np.floor(cols).astype(np.int64)
-    fr = rows - r0
-    fc = cols - c0
-    out = np.zeros(rows.shape)
-    nr, nc = img.shape
-    for dr, dc, w in (
-        (0, 0, (1 - fr) * (1 - fc)),
-        (0, 1, (1 - fr) * fc),
-        (1, 0, fr * (1 - fc)),
-        (1, 1, fr * fc),
-    ):
-        rr = r0 + dr
-        cc = c0 + dc
-        ok = (rr >= 0) & (rr < nr) & (cc >= 0) & (cc < nc)
-        vals = img[np.clip(rr, 0, nr - 1), np.clip(cc, 0, nc - 1)]
-        out += w * np.where(ok, vals, 0.0)
-    return out
-
-
 def polar_unroll(
     mag: np.ndarray,
     crop_size: int = 64,
     radial_bins: int = 32,
     angular_bins: int = 120,
 ) -> np.ndarray:
-    """Resample a dc-centered spectrum onto polar rings.
+    """Resample a dc-centered spectrum onto polar rings by bilinear sampling.
 
     Row i holds radius (i+1) * (crop_size/2) / (radial_bins+1); column j holds
     angle j * 2*pi / angular_bins swept counterclockwise in the (row, col)
     plane.  The dc sample itself (radius 0) is excluded and radii stay inside
     the central crop, which keeps only the low-frequency band where the log
-    has tamed the dc peak.
+    has tamed the dc peak.  Each sample blends its four neighbouring pixels;
+    positions outside the image read 0, so a ring past the last pixel centre
+    blends the edge pixel with zero.
 
     Returns a (radial_bins, angular_bins) float array.
     """
@@ -84,7 +65,7 @@ def polar_unroll(
     theta = np.arange(angular_bins) * (2.0 * np.pi / angular_bins)
     rows = center + radii[:, None] * np.cos(theta)[None, :]
     cols = center + radii[:, None] * np.sin(theta)[None, :]
-    return _bilinear(mag, rows, cols)
+    return map_coordinates(mag, [rows, cols], order=1, mode="grid-constant", cval=0.0)
 
 
 def descriptor_to_bytes(desc: np.ndarray) -> bytes:

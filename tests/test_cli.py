@@ -203,17 +203,40 @@ def test_query_geometry_must_match_the_index(places, tmp_path, capsys, field, va
     assert json.loads(capsys.readouterr().out)["match"] is None
 
 
-@pytest.mark.parametrize("part", ["key", "descriptor"])
+@pytest.mark.parametrize("part", ["descriptor"])
 def test_non_finite_index_value_is_a_format_error(places, tmp_path, capsys, part):
     root, index, _ = places
     raw = bytearray(index.read_bytes())
-    rows = 32  # default radial_bins; the key holds 2 * rows floats
-    where = 24 + 8 + (4 if part == "key" else 8 * rows + 12 + 4 * 7)
-    raw[where : where + 4] = np.array([np.inf if part == "key" else np.nan], dtype="<f4").tobytes()
+    where = 24 + 8 * 6 + 4 * 7  # header, six u64 ids, then into frame 0's descriptor
+    raw[where : where + 4] = np.array([np.nan], dtype="<f4").tobytes()
     bad = tmp_path / "poisoned.frix"
     bad.write_bytes(bytes(raw))
     assert main(["query", str(root / "000000.bin"), "--index", str(bad)]) == 2
     assert "non-finite" in capsys.readouterr().err
+
+
+def test_degenerate_index_descriptor_is_a_format_error(places, tmp_path, capsys):
+    root, index, _ = places
+    raw = bytearray(index.read_bytes())
+    size = 4 * 32 * 120  # default radial_bins x angular_bins float32
+    second = 24 + 8 * 6 + size
+    raw[second : second + size] = bytes(size)  # frame 1's descriptor is all zeros
+    bad = tmp_path / "zeroed.frix"
+    bad.write_bytes(bytes(raw))
+    assert main(["query", str(root / "000000.bin"), "--index", str(bad)]) == 2
+    err = capsys.readouterr().err
+    assert "frame 1" in err and "mean is not positive" in err
+
+
+def test_version_1_index_asks_for_a_rebuild(places, tmp_path, capsys):
+    root, index, _ = places
+    raw = bytearray(index.read_bytes())
+    raw[4:8] = np.array([1], dtype="<u4").tobytes()
+    old = tmp_path / "v1.frix"
+    old.write_bytes(bytes(raw))
+    assert main(["query", str(root / "000000.bin"), "--index", str(old)]) == 2
+    err = capsys.readouterr().err
+    assert "version 1" in err and "fresco build" in err
 
 
 def test_out_of_order_index_ids_are_a_format_error(places, tmp_path, capsys):

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from scipy.ndimage import map_coordinates
 
 from fresco import synth
 from fresco.bev import make_bev
@@ -125,6 +126,42 @@ def test_descriptor_half_period_on_real_scene():
     scene = synth.generate(synth.SceneSpec(seed=22, pillars=30, walls=6, rings=1))
     desc = polar_unroll(log_spectrum(make_bev(scene, 80.0, 128)))
     assert np.abs(desc - np.roll(desc, 60, axis=1)).max() <= 1e-6
+
+
+def _bilinear(img, rows, cols):
+    """Oracle: the four-neighbour blend written out; outside the array reads 0."""
+    r0 = np.floor(rows).astype(np.int64)
+    c0 = np.floor(cols).astype(np.int64)
+    fr, fc = rows - r0, cols - c0
+    out = np.zeros(rows.shape)
+    nr, nc = img.shape
+    for dr, dc, w in (
+        (0, 0, (1 - fr) * (1 - fc)),
+        (0, 1, (1 - fr) * fc),
+        (1, 0, fr * (1 - fc)),
+        (1, 1, fr * fc),
+    ):
+        rr, cc = r0 + dr, c0 + dc
+        ok = (rr >= 0) & (rr < nr) & (cc >= 0) & (cc < nc)
+        out += w * np.where(ok, img[np.clip(rr, 0, nr - 1), np.clip(cc, 0, nc - 1)], 0.0)
+    return out
+
+
+@pytest.mark.parametrize("grid, crop, rings", [(128, 64, 32), (16, 16, 32)])
+def test_polar_unroll_matches_bilinear_oracle(grid, crop, rings):
+    scene = synth.generate(synth.SceneSpec(seed=23, pillars=25, walls=5, rings=2))
+    spec = log_spectrum(make_bev(scene, 80.0, grid))
+    # the sample grid polar_unroll documents
+    radii = (np.arange(rings) + 1.0) * (crop / 2.0) / (rings + 1.0)
+    theta = np.arange(120) * (2.0 * np.pi / 120)
+    rows = grid // 2 + radii[:, None] * np.cos(theta)[None, :]
+    cols = grid // 2 + radii[:, None] * np.sin(theta)[None, :]
+    want = _bilinear(spec, rows, cols)
+    np.testing.assert_allclose(polar_unroll(spec, crop, rings, 120), want, rtol=0, atol=1e-12)
+    # scipy's "constant" mode reads 0 past the last pixel centre instead of
+    # blending the edge pixel, which only the outermost rings of a full crop reach
+    constant = map_coordinates(spec, [rows, cols], order=1, mode="constant", cval=0.0)
+    assert (np.abs(constant - want).max() > 1e-12) == (crop == grid)
 
 
 def test_polar_parameter_validation():
