@@ -25,7 +25,12 @@ class FormatError(Exception):
 
 @dataclass
 class PointCloud:
-    """3D points in the sensor frame, meters. Point order carries no meaning."""
+    """3D points in the sensor frame, meters. Point order carries no meaning.
+
+    Clouds are treated as immutable: filters may return a cloud whose arrays
+    are shared with (or views of) their input's, so write to a cloud's
+    arrays only when you made them.
+    """
 
     xyz: np.ndarray
     intensity: np.ndarray | None = None
@@ -43,9 +48,20 @@ class PointCloud:
         return self.xyz.shape[0]
 
     def select(self, mask) -> "PointCloud":
-        """Subset by boolean mask or index array, keeping intensity aligned."""
-        inten = None if self.intensity is None else self.intensity[mask]
-        return PointCloud(self.xyz[mask], inten, self.frame_id, self.dropped)
+        """Subset by boolean mask or index array, keeping intensity aligned.
+
+        A boolean mask that keeps every point returns a cloud sharing this
+        cloud's arrays.
+        """
+        idx = np.asarray(mask)
+        if idx.dtype == bool:
+            if idx.shape != (len(self),):
+                raise IndexError(f"mask of shape {idx.shape} for {len(self)} points")
+            idx = np.flatnonzero(idx)
+            if idx.size == len(self):
+                return PointCloud(self.xyz, self.intensity, self.frame_id, self.dropped)
+        inten = None if self.intensity is None else self.intensity.take(idx)
+        return PointCloud(self.xyz.take(idx, axis=0), inten, self.frame_id, self.dropped)
 
 
 def empty_cloud(frame_id: int = 0) -> PointCloud:
@@ -64,10 +80,15 @@ def load_kitti_bin(path, frame_id: int = 0) -> PointCloud:
         raise FormatError(f"{path}: truncated 16-byte record at byte offset {offset}")
     if not raw:
         return empty_cloud(frame_id)
-    arr = np.frombuffer(raw, dtype="<f4").reshape(-1, 4).astype(np.float64)
-    finite = np.isfinite(arr).all(axis=1)
-    dropped = int((~finite).sum())
-    arr = arr[finite]
+    rec = np.frombuffer(raw, dtype="<f4").reshape(-1, 4)
+    finite = np.isfinite(rec)
+    dropped = 0
+    if not finite.all():
+        # casting only finite records keeps NaN payloads out of the cast
+        keep = np.flatnonzero(finite.all(axis=1))
+        dropped = len(rec) - len(keep)
+        rec = rec.take(keep, axis=0)
+    arr = rec.astype(np.float64)
     return PointCloud(arr[:, :3], arr[:, 3], frame_id, dropped)
 
 
@@ -188,26 +209,32 @@ def remove_ground(cloud: PointCloud, cell_m: float = 1.0, z_margin: float = 0.3)
     cid = ci * nc + cj
     ncell = nr * nc
 
-    ground = np.zeros(len(sub), dtype=bool)
     floor = np.full(ncell, np.nan)
+    total = np.bincount(cid, minlength=ncell)
+    # each pass works on the points not peeled yet: positions, cells, heights
+    live, lc, lz = np.arange(len(sub)), cid, z
+    count = total
     while True:
-        alive = ~ground
-        count = np.bincount(cid[alive], minlength=ncell)
         zmin = np.full(ncell, np.inf)
-        np.minimum.at(zmin, cid[alive], z[alive])
-        band = alive & (z < zmin[cid] + z_margin)
-        gap = alive & ~band & (z < zmin[cid] + 2.0 * z_margin)
-        support = np.bincount(cid[band], minlength=ncell)
-        blocked = np.bincount(cid[gap], minlength=ncell)
+        np.minimum.at(zmin, lc, lz)
+        bottom = zmin[lc]
+        band = lz < bottom + z_margin
+        gap = ~band & (lz < bottom + 2.0 * z_margin)
+        support = np.bincount(lc[band], minlength=ncell)
+        blocked = np.bincount(lc[gap], minlength=ncell)
         peel = (count >= 3) & (support >= _GROUND_SUPPORT) & (blocked == 0)
         if not peel.any():
             break
         first = peel & np.isnan(floor)
         floor[first] = zmin[first]
-        ground |= band & peel[cid]
+        rest = np.flatnonzero(~(band & peel[lc]))
+        live, lc, lz = live[rest], lc[rest], lz[rest]
+        count = count - np.where(peel, support, 0)  # a peeled cell loses its band
 
-    count = np.bincount(cid, minlength=ncell)
-    sparse = (count > 0) & (count < 3)
+    ground = np.ones(len(sub), dtype=bool)
+    ground[live] = False
+
+    sparse = (total > 0) & (total < 3)
     if sparse.any() and np.isfinite(floor).any():
         donor = np.full(ncell, np.nan)
         cells = np.flatnonzero(sparse)

@@ -94,12 +94,18 @@ class KeyframeIndex:
             )
 
     def insert(self, frame_id: int, desc: np.ndarray) -> None:
-        """Add a frame; ids must be new and strictly increasing."""
+        """Add a frame; ids must be new and strictly increasing, and every
+        descriptor must have the first one's 2-D shape, at least 2 columns wide."""
         self._check_next_id(frame_id)
+        desc = np.asarray(desc, dtype=np.float64)
+        stored = self._descs[0].shape if self._descs else None
+        if desc.ndim != 2 or desc.shape[1] < 2 or stored not in (None, desc.shape):
+            want = stored or "a 2-D shape with at least 2 columns"
+            raise ValueError(f"descriptor shape {desc.shape} does not fit the index; expected {want}")
         key = make_key(desc)  # degenerate frames are rejected, not stored
         self._ids.append(int(frame_id))
         self._keys.append(key)
-        self._descs.append(np.asarray(desc, dtype=np.float64))
+        self._descs.append(desc)
         if len(self._ids) % _REBUILD_EVERY == 0:
             self._tree = cKDTree(np.vstack(self._keys))
             self._tree_size = len(self._keys)

@@ -132,6 +132,36 @@ def _gated_mse(dist: np.ndarray, gate_m: float) -> float:
     return float((dist[m] ** 2).mean()) if m.any() else np.inf
 
 
+def _query_within(tree: cKDTree, points: np.ndarray, gate_m: float):
+    """Nearest neighbors no farther than ``gate_m``; the rest come back as
+    distance inf and index ``tree.n``.  No part of the tree beyond the gate
+    is searched, and a neighbor exactly at the gate is still found."""
+    return tree.query(points, distance_upper_bound=np.nextafter(gate_m, np.inf))
+
+
+def _cap_per_cell(cells: np.ndarray, cap: int) -> np.ndarray:
+    """Positions into ``cells`` grouped by cell id, at most ``cap`` per cell.
+
+    Each group keeps its members' order.  A cell with more than ``cap``
+    members keeps those at ``np.linspace(0, size - 1, cap).round()``, which
+    for ``size > cap`` are ``cap`` distinct positions.  The picks repeat
+    linspace's arithmetic, ``i * ((size - 1) / (cap - 1))``; its exact
+    endpoint needs no special case, because rounding absorbs the product's
+    error.
+    """
+    order = np.argsort(cells, kind="stable")
+    ordered = cells[order]
+    starts = np.flatnonzero(np.concatenate(([True], ordered[1:] != ordered[:-1])))
+    sizes = np.diff(np.append(starts, order.size))
+    keep = np.repeat(sizes <= cap, sizes)
+    big = sizes > cap
+    if big.any():
+        step = (sizes[big] - 1) / max(cap - 1, 1)
+        pick = (np.arange(cap) * step[:, None]).round().astype(np.int64)
+        keep[(starts[big, None] + pick).ravel()] = True
+    return order[keep]
+
+
 def extract_compact_2d(
     cloud: PointCloud,
     coarse_grid_m: float = 4.0,
@@ -165,19 +195,9 @@ def extract_compact_2d(
     upper = z >= (zmin[cid] + zmax[cid]) / 2.0
 
     idx = np.flatnonzero(upper)
-    order = np.argsort(cid[idx], kind="stable")
-    idx = idx[order]
-    groups = np.split(idx, np.flatnonzero(np.diff(cid[idx])) + 1) if idx.size else []
-    chosen = []
-    for g in groups:
-        if g.size <= cell_cap:
-            chosen.append(g)
-        else:
-            pick = np.linspace(0, g.size - 1, cell_cap).round().astype(np.int64)
-            chosen.append(g[np.unique(pick)])
-    if not chosen:
+    if not idx.size:
         raise InsufficientStructureError("no points survive the height filter")
-    sel = np.concatenate(chosen)
+    sel = idx[_cap_per_cell(cid[idx], cell_cap)]
 
     pts = _voxel_centroids(xyz[sel, :2], voxel_m)
     n = pts.shape[0]
@@ -232,6 +252,7 @@ def nicp_2d(
     Convergence means the pose update fell below ``tol_t`` / ``tol_yaw``.
     The reported mse is the mean squared distance over correspondences
     gated at ``gate_end_m`` at the final pose (inf when none survive).
+    Nothing beyond the current gate is searched for a correspondence.
     """
     if src.points.shape[0] < 10 or dst.points.shape[0] < 10:
         raise InsufficientStructureError("both clouds need at least 10 points")
@@ -243,7 +264,7 @@ def nicp_2d(
         frac = it / max(max_iters - 1, 1)
         gate = gate_start_m + (gate_end_m - gate_start_m) * frac
         p = transform_xy(src.points, tx, ty, yaw)
-        dist, j = tree.query(p)
+        dist, j = _query_within(tree, p, gate)
         m = dist <= gate
         if m.sum() < 3:
             break
@@ -273,7 +294,7 @@ def nicp_2d(
         if np.hypot(dtx, dty) < tol_t and abs(dyaw) < tol_yaw:
             converged = True
             break
-    dist, _ = tree.query(transform_xy(src.points, tx, ty, yaw))
+    dist, _ = _query_within(tree, transform_xy(src.points, tx, ty, yaw), gate_end_m)
     mse = _gated_mse(dist, gate_end_m)
     return Se2Pose(float(tx), float(ty), wrap_angle(yaw), mse, converged, trace=trace)
 
@@ -317,7 +338,7 @@ def alignment_mse_3d(
     b = _voxel_centroids(candidate.xyz, voxel_m)
     if a.shape[0] == 0 or b.shape[0] == 0:
         return np.inf
-    dist, _ = cKDTree(b).query(a @ matrix[:3, :3].T + matrix[:3, 3])
+    dist, _ = _query_within(cKDTree(b), a @ matrix[:3, :3].T + matrix[:3, 3], gate_m)
     return _gated_mse(dist, gate_m)
 
 
@@ -336,7 +357,8 @@ def refine_pose_3d(
     Seeds z, roll, and pitch at zero.  If the iteration fails to converge or
     would end with a higher mse than the seed pose, the seed is passed
     through unchanged with ``converged=False``.  ``success`` records whether
-    the final mse beats ``success_mse``.
+    the final mse beats ``success_mse``.  Nothing beyond the current gate is
+    searched for a correspondence.
     """
     a = _voxel_centroids(query.xyz, voxel_m)
     b = _voxel_centroids(candidate.xyz, voxel_m)
@@ -345,19 +367,19 @@ def refine_pose_3d(
         return matrix_to_se3(t, mse=np.inf, converged=False, success=False)
     tree = cKDTree(b)
     # the seed pose's correspondences are iteration 0's as well
-    seed = tree.query(a @ t[:3, :3].T + t[:3, 3])
+    seed = _query_within(tree, a @ t[:3, :3].T + t[:3, 3], max(gate_start_m, gate_end_m))
     init_mse = _gated_mse(seed[0], gate_end_m)
     converged = False
     for it in range(max_iters):
         frac = it / max(max_iters - 1, 1)
         gate = gate_start_m + (gate_end_m - gate_start_m) * frac
         p = a @ t[:3, :3].T + t[:3, 3]
-        dist, j = seed if it == 0 else tree.query(p)
-        m = dist <= gate
-        if m.sum() < 3:
+        dist, j = seed if it == 0 else _query_within(tree, p, gate)
+        m = np.flatnonzero(dist <= gate)
+        if m.size < 3:
             break
-        pm = p[m]
-        qm = b[j[m]]
+        pm = p.take(m, axis=0)
+        qm = b.take(j.take(m), axis=0)
         cp = pm.mean(axis=0)
         cq = qm.mean(axis=0)
         h = (pm - cp).T @ (qm - cq)
@@ -374,7 +396,8 @@ def refine_pose_3d(
             converged = True
             break
     if converged:
-        final_mse = _gated_mse(tree.query(a @ t[:3, :3].T + t[:3, 3])[0], gate_end_m)
+        dist, _ = _query_within(tree, a @ t[:3, :3].T + t[:3, 3], gate_end_m)
+        final_mse = _gated_mse(dist, gate_end_m)
     if not converged or final_mse > init_mse:
         return matrix_to_se3(
             se2_to_matrix(init),

@@ -84,8 +84,10 @@ def descriptor_from_bytes(buf: bytes) -> np.ndarray:
     expect = 12 + 4 * rows * cols
     if len(buf) != expect:
         raise FormatError(f"descriptor blob length {len(buf)}, expected {expect}")
-    data = np.frombuffer(buf, dtype="<f4", offset=12).astype(np.float64)
-    return data.reshape(rows, cols)
+    data = np.frombuffer(buf, dtype="<f4", offset=12)
+    if not np.isfinite(data).all():  # checked before the cast, which NaN payloads trip
+        raise FormatError("descriptor blob has a non-finite value")
+    return data.astype(np.float64).reshape(rows, cols)
 
 
 def save_descriptor(desc: np.ndarray, path) -> None:

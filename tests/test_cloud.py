@@ -262,3 +262,90 @@ def test_remove_ground_in_threads_raises_no_runtime_warning():
         with ThreadPoolExecutor(max_workers=2) as pool:
             outs = list(pool.map(remove_ground, scans))
     assert all(0 < len(o) < len(c) for o, c in zip(outs, scans))
+
+
+def _remove_ground_by_full_masks(cloud, cell_m=1.0, z_margin=0.3):
+    """The former ground filter, kept as the oracle: every peel pass re-masks
+    the whole cloud instead of working on the points not peeled yet."""
+    sub = clip_height_band(cloud)
+    if len(sub) == 0:
+        return sub
+    x, y, z = sub.xyz.T
+    ci = np.floor((x - x.min()) / cell_m).astype(np.int64)
+    cj = np.floor((y - y.min()) / cell_m).astype(np.int64)
+    nr, nc = int(ci.max()) + 1, int(cj.max()) + 1
+    cid = ci * nc + cj
+    ncell = nr * nc
+    ground = np.zeros(len(sub), dtype=bool)
+    floor = np.full(ncell, np.nan)
+    while True:
+        alive = ~ground
+        count = np.bincount(cid[alive], minlength=ncell)
+        zmin = np.full(ncell, np.inf)
+        np.minimum.at(zmin, cid[alive], z[alive])
+        band = alive & (z < zmin[cid] + z_margin)
+        gap = alive & ~band & (z < zmin[cid] + 2.0 * z_margin)
+        support = np.bincount(cid[band], minlength=ncell)
+        blocked = np.bincount(cid[gap], minlength=ncell)
+        peel = (count >= 3) & (support >= 3) & (blocked == 0)
+        if not peel.any():
+            break
+        first = peel & np.isnan(floor)
+        floor[first] = zmin[first]
+        ground |= band & peel[cid]
+    count = np.bincount(cid, minlength=ncell)
+    sparse = (count > 0) & (count < 3)
+    if sparse.any() and np.isfinite(floor).any():
+        donor = np.full(ncell, np.nan)
+        cells = np.flatnonzero(sparse)
+        donor[cells] = _whole_grid_median(floor.reshape(nr, nc))[cells]
+        m = np.isfinite(donor)[cid]
+        ground[m] |= z[m] < donor[cid[m]] + z_margin
+    return PointCloud(sub.xyz[~ground], None if sub.intensity is None else sub.intensity[~ground])
+
+
+@pytest.mark.parametrize("seed", [21, 22, 41, 42])
+def test_remove_ground_equals_the_full_mask_peel(seed):
+    scan = _sparse_ground_scene(seed)
+    scan = PointCloud(scan.xyz, np.arange(len(scan), dtype=float))  # labels every point
+    got, want = remove_ground(scan), _remove_ground_by_full_masks(scan)
+    np.testing.assert_array_equal(got.xyz, want.xyz)
+    np.testing.assert_array_equal(got.intensity, want.intensity)
+    assert 0 < len(got) < len(scan)
+
+
+@pytest.mark.parametrize("with_intensity", [True, False])
+def test_select_equals_boolean_indexing(with_intensity):
+    rng = np.random.default_rng(40)
+    xyz = rng.uniform(-5.0, 5.0, (50, 3))
+    inten = rng.uniform(0.0, 1.0, 50) if with_intensity else None
+    cloud = PointCloud(xyz, inten, frame_id=7, dropped=2)
+    masks = {
+        "all": np.ones(50, dtype=bool),
+        "none": np.zeros(50, dtype=bool),
+        "some": rng.random(50) < 0.5,
+        "index array": rng.integers(-50, 50, 20),
+    }
+    for name, mask in masks.items():
+        got = cloud.select(mask)
+        assert got.xyz.shape == xyz[mask].shape, name
+        np.testing.assert_array_equal(got.xyz, xyz[mask])
+        if inten is None:
+            assert got.intensity is None
+        else:
+            np.testing.assert_array_equal(got.intensity, inten[mask])
+        assert (got.frame_id, got.dropped) == (7, 2)
+    with pytest.raises(IndexError):
+        cloud.select(np.ones(49, dtype=bool))
+
+
+def test_filters_that_keep_every_point_share_the_input_arrays():
+    rng = np.random.default_rng(41)
+    cloud = PointCloud(rng.uniform(-2.0, 2.0, (40, 3)), rng.uniform(0.0, 1.0, 40))
+    for kept in (cloud.select(np.ones(40, dtype=bool)), crop_window(cloud, 80.0),
+                 clip_height_band(cloud)):
+        assert kept is not cloud
+        assert np.shares_memory(kept.xyz, cloud.xyz)
+        assert np.shares_memory(kept.intensity, cloud.intensity)
+        np.testing.assert_array_equal(kept.xyz, cloud.xyz)
+    assert not np.shares_memory(crop_window(cloud, 2.0).xyz, cloud.xyz)

@@ -1,5 +1,6 @@
 """Binary parsers fed truncated, corrupted and random bytes: each returns a
-value or raises FormatError, nothing else."""
+value or raises FormatError, nothing else (a numpy RuntimeWarning fails the
+run, see pyproject.toml)."""
 
 import struct
 
@@ -8,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fresco.cloud import FormatError
+from fresco.cloud import FormatError, PointCloud, load_kitti_bin
 from fresco.index import KeyframeIndex
 from fresco.spectrum import descriptor_from_bytes, descriptor_to_bytes
 
@@ -58,8 +59,8 @@ def _parse_blob(raw: bytes):
     except FormatError:
         return None
     assert desc.ndim == 2
-    if np.isfinite(desc).all():  # a NaN payload need not survive float64
-        assert descriptor_to_bytes(desc) == raw
+    assert np.isfinite(desc).all()
+    assert descriptor_to_bytes(desc) == raw
     return desc
 
 
@@ -148,3 +149,57 @@ def test_blob_survives_flipped_bytes(data):
 )
 def test_blob_survives_random_bytes(raw):
     _parse_blob(raw)
+
+
+# float32 bit patterns that are not finite: quiet and signalling NaNs of
+# either sign, and both infinities
+_NON_FINITE = [0x7FC00000, 0x7F800001, 0x7FBFFFFF, 0xFFC00001, 0xFF800001, 0x7F800000, 0xFF800000]
+_FINITE = st.floats(width=32, allow_nan=False, allow_infinity=False).map(
+    lambda v: int(np.array([v], dtype="<f4").view("<u4")[0])
+)
+
+
+def _records(values):
+    return st.lists(st.lists(values, min_size=4, max_size=4), max_size=40).map(
+        lambda recs: np.array(recs, dtype="<u4").reshape(-1, 4).tobytes()
+    )
+
+
+def _load_bin(path, raw: bytes):
+    """Load ``raw`` as a KITTI scan; whole records must come back as exactly
+    the finite ones, in file order, with the others counted."""
+    path.write_bytes(raw)
+    try:
+        cloud = load_kitti_bin(path, frame_id=3)
+    except FormatError:
+        assert len(raw) % 16 != 0
+        return None
+    assert isinstance(cloud, PointCloud)
+    rec = np.frombuffer(raw, dtype="<f4").reshape(-1, 4)
+    finite = [bool(np.isfinite(r).all()) for r in rec]
+    want = np.array([r for r, ok in zip(rec.tolist(), finite) if ok]).reshape(-1, 4)
+    np.testing.assert_array_equal(cloud.xyz, want[:, :3])
+    if len(rec):
+        np.testing.assert_array_equal(cloud.intensity, want[:, 3])
+    assert cloud.dropped == finite.count(False)
+    assert cloud.frame_id == 3
+    return cloud
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.binary(max_size=400))
+def test_kitti_bin_survives_random_bytes(scratch, raw):
+    _load_bin(scratch.with_suffix(".bin"), raw)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_records(_FINITE))
+def test_kitti_bin_keeps_every_finite_record(scratch, raw):
+    cloud = _load_bin(scratch.with_suffix(".bin"), raw)
+    assert cloud.dropped == 0 and len(cloud) == len(raw) // 16
+
+
+@settings(max_examples=200, deadline=None)
+@given(_records(st.one_of(_FINITE, st.sampled_from(_NON_FINITE), st.integers(0, 2**32 - 1))))
+def test_kitti_bin_drops_non_finite_records(scratch, raw):
+    _load_bin(scratch.with_suffix(".bin"), raw)

@@ -1,5 +1,7 @@
 """Retrieval keys, the keyframe index, and its on-disk format."""
 
+import struct
+
 import numpy as np
 import pytest
 
@@ -65,6 +67,35 @@ def test_insert_requires_increasing_ids():
         idx.insert(5, _rand_desc(np.random.default_rng(5)))
     with pytest.raises(ValueError):
         idx.insert(4, _rand_desc(np.random.default_rng(6)))
+
+
+def test_insert_rejects_a_descriptor_of_another_shape(tmp_path):
+    rng = np.random.default_rng(17)
+    idx = KeyframeIndex(exclusion_horizon=0)
+    idx.insert(0, _rand_desc(rng, 8, 12))
+    with pytest.raises(ValueError, match=r"shape \(8, 10\).*expected \(8, 12\)"):
+        idx.insert(1, _rand_desc(rng, 8, 10))
+    with pytest.raises(ValueError, match=r"shape \(96,\).*expected \(8, 12\)"):
+        idx.insert(1, _rand_desc(rng, 8, 12).ravel())
+    assert idx.ids == [0]
+    for bad in (np.ones((1, 1)), np.ones(12), np.ones((2, 3, 4))):
+        with pytest.raises(ValueError, match="at least 2 columns"):
+            KeyframeIndex().insert(0, bad)
+    # the index still saves and matches after the rejections
+    idx.insert(1, _rand_desc(rng, 8, 12))
+    idx.save(tmp_path / "a.frix")
+    assert KeyframeIndex.load(tmp_path / "a.frix").ids == [0, 1]
+    assert idx.match(_rand_desc(rng, 8, 12), 2, np.inf, np.inf).candidate_id in (0, 1)
+
+
+def test_load_rejects_a_one_column_index_file(tmp_path):
+    p = tmp_path / "narrow.frix"
+    p.write_bytes(
+        b"FRIX" + struct.pack("<IIIQ", 2, 1, 1, 1)
+        + np.array([4], dtype="<u8").tobytes() + np.array([1.0], dtype="<f4").tobytes()
+    )
+    with pytest.raises(FormatError, match=r"frame 4: .*shape \(1, 1\)"):
+        KeyframeIndex.load(p)
 
 
 def test_retrieve_respects_candidate_count_and_size():

@@ -346,3 +346,75 @@ def test_refine_pass_through_reports_the_seed_alignment_mse(seed):
     assert not est.converged
     assert est.mse == alignment_mse_3d(query, cand, se2_to_matrix(init), 0.4)
     assert (est.tx, est.ty) == (init.tx, init.ty)
+
+
+# dyadic coordinates, one point per voxel: every distance below is exact
+_GRID = np.array([[4.0 * i, 4.0 * j, 0.25 * (i + j)] for i in range(4) for j in range(3)])
+_AT_GATE = np.array([0.5, 0.0, 0.0])  # exactly the 0.5 m gate away
+
+
+def test_alignment_mse_counts_a_neighbor_exactly_at_the_gate():
+    query, cand = PointCloud(_GRID), PointCloud(_GRID + _AT_GATE)
+    assert alignment_mse_3d(query, cand, np.eye(4), gate_m=0.5) == 0.25
+    assert alignment_mse_3d(query, cand, np.eye(4), gate_m=0.4999) == np.inf
+
+
+def test_refine_seed_mse_counts_a_neighbor_exactly_at_the_gate():
+    query, cand = PointCloud(_GRID), PointCloud(_GRID + _AT_GATE)
+    init = Se2Pose(0.0, 0.0, 0.0)
+    # no iterations: the seed passes through with the seed query's mse
+    est = refine_pose_3d(query, cand, init, max_iters=0, gate_start_m=0.5, gate_end_m=0.5)
+    assert est.mse == 0.25
+    assert not est.converged
+
+
+def test_nicp_final_mse_counts_a_neighbor_exactly_at_the_gate():
+    pts = _GRID[:, :2]
+    normals = np.tile([1.0, 0.0], (len(pts), 1))
+    src = Compact2dCloud(pts, normals)
+    dst = Compact2dCloud(pts + _AT_GATE[:2], normals)
+    est = nicp_2d(src, dst, 0.0, max_iters=0, gate_start_m=0.5, gate_end_m=0.5)
+    assert est.mse == 0.25
+
+
+def _cap_per_cell_by_loop(cells, cap):
+    """The former per-cell loop, kept as the oracle: split the stable sort by
+    cell, then keep each big cell's rounded np.linspace picks."""
+    order = np.argsort(cells, kind="stable")
+    groups = np.split(order, np.flatnonzero(np.diff(cells[order])) + 1) if order.size else []
+    chosen = [np.empty(0, dtype=np.int64)]
+    for g in groups:
+        if g.size <= cap:
+            chosen.append(g)
+        else:
+            pick = np.linspace(0, g.size - 1, cap).round().astype(np.int64)
+            chosen.append(g[np.unique(pick)])
+    return np.concatenate(chosen)
+
+
+@pytest.mark.parametrize("cap", [1, 2, 3, 10])
+@settings(max_examples=100, deadline=None)
+@given(cells=arrays(np.int64, st.integers(0, 400), elements=st.integers(0, 12)))
+def test_cell_cap_equals_the_per_cell_loop(cap, cells):
+    got = pose_mod._cap_per_cell(cells, cap)
+    np.testing.assert_array_equal(got, _cap_per_cell_by_loop(cells, cap))
+    assert np.bincount(cells[got], minlength=13).max(initial=0) <= cap
+
+
+@pytest.mark.parametrize("cap", [1, 2, 3, 10])
+def test_cell_cap_equals_the_per_cell_loop_at_every_cell_size(cap):
+    sizes = np.r_[np.arange(1, 600), 100_003, 2**20 + 1]
+    cells = np.repeat(np.arange(len(sizes))[::-1], sizes)
+    np.testing.assert_array_equal(
+        pose_mod._cap_per_cell(cells, cap), _cap_per_cell_by_loop(cells, cap)
+    )
+
+
+@pytest.mark.parametrize("cap", [1, 2, 3, 10])
+def test_compact_cloud_equals_the_per_cell_loop(cap, monkeypatch):
+    scene = _scene(74)
+    shipped = extract_compact_2d(scene, cell_cap=cap)
+    monkeypatch.setattr(pose_mod, "_cap_per_cell", _cap_per_cell_by_loop)
+    oracle = extract_compact_2d(scene, cell_cap=cap)
+    np.testing.assert_array_equal(shipped.points, oracle.points)
+    np.testing.assert_array_equal(shipped.normals, oracle.normals)

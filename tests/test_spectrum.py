@@ -199,3 +199,12 @@ def test_blob_rejects_wrong_length():
         descriptor_from_bytes(blob[:-4])
     with pytest.raises(FormatError, match="length"):
         descriptor_from_bytes(blob + b"\x00")
+
+
+@pytest.mark.parametrize("bits", [0x7FC00000, 0x7F800001, 0xFFBFFFFF, 0x7F800000, 0xFF800000])
+def test_blob_rejects_non_finite_values_without_a_cast_warning(bits):
+    blob = bytearray(descriptor_to_bytes(np.ones((2, 4))))
+    blob[12 + 4 * 5 : 12 + 4 * 6] = np.array([bits], dtype="<u4").tobytes()
+    # a RuntimeWarning from the float32 -> float64 cast would fail the test run
+    with pytest.raises(FormatError, match="non-finite"):
+        descriptor_from_bytes(bytes(blob))
