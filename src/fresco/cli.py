@@ -14,8 +14,8 @@ import time
 
 import numpy as np
 
-from . import matching, synth
-from .cloud import FormatError, PointCloud
+from . import matching, properties, synth
+from .cloud import FormatError
 from .config import (
     Config,
     ConfigError,
@@ -26,10 +26,9 @@ from .config import (
 )
 from .datasets import load_dataset, load_scan
 from .evaluate import json_safe, run_evaluation
-from .index import DegenerateDescriptorError, KeyframeIndex
+from .index import DegenerateDescriptorError, KeyframeIndex, make_key
 from .pipeline import describe, stage1_pose
-from .pose import InsufficientStructureError, shift_to_rotation, wrap_angle
-from .spectrum import log_spectrum
+from .pose import InsufficientStructureError
 
 
 class _Parser(argparse.ArgumentParser):
@@ -165,109 +164,68 @@ def cmd_eval(args, cfg: Config) -> int:
     return 0
 
 
-def _scene(seed: int, **kw) -> PointCloud:
-    return synth.generate(synth.SceneSpec(seed, **kw))
-
-
-def _prop_translation_invariance() -> bool:
-    rng = np.random.default_rng(11)
-    for _ in range(20):
-        img = rng.uniform(0.0, 30.0, (128, 128))
-        rolled = np.roll(img, (int(rng.integers(1, 128)), int(rng.integers(1, 128))), (0, 1))
-        a, b = log_spectrum(img), log_spectrum(rolled)
-        if np.abs(a - b).max() > 1e-9 * max(np.abs(a).max(), 1e-30):
-            return False
-    return True
-
-
-def _prop_half_period() -> bool:
-    cfg = Config()
-    for seed in range(3):
-        desc = describe(_scene(seed, range_limit=30.0), cfg)
-        half = desc.shape[1] // 2
-        if np.abs(desc - np.roll(desc, half, axis=1)).max() > 1e-6:
-            return False
-    return True
-
-
-def _prop_shift_recovery() -> bool:
-    cfg = Config()
-    rng = np.random.default_rng(5)
-    for seed in range(5):
-        desc = describe(_scene(100 + seed, range_limit=30.0), cfg)
-        k = int(rng.integers(1, desc.shape[1] // 2))
-        # looked up through the module so a broken shift is caught, not hidden
-        candidate = matching.circular_shift(desc, k)
-        score = matching.best_shift_l1(desc, candidate)
-        if score.best_shift != k or score.d_l1 > 1e-12:
-            return False
-    return True
-
-
-def _prop_rotation_mod_180() -> bool:
-    cfg = Config()
-    rng = np.random.default_rng(17)
-    for seed in range(5):
-        scene = _scene(200 + seed, range_limit=30.0)
-        yaw = float(rng.uniform(0.0, 360.0))
-        turned = synth.perturb(scene, yaw_deg=yaw)
-        score = matching.best_shift_l1(describe(turned, cfg), describe(scene, cfg))
-        rec = shift_to_rotation(score.best_shift, cfg.angular_bins)
-        if abs((rec - yaw + 90.0) % 180.0 - 90.0) > 3.0:
-            return False
-    return True
-
-
-def _prop_pose_round_trip() -> bool:
-    cfg = Config()
-    rng = np.random.default_rng(23)
-    for seed in range(5):
-        scene = _scene(300 + seed, walls=10, range_limit=30.0)
-        tx, ty = rng.uniform(-2.0, 2.0, 2)
-        yaw = float(rng.uniform(0.0, 360.0))
-        moved = synth.perturb(scene, tx, ty, yaw)
-        score = matching.best_shift_l1(describe(moved, cfg), describe(scene, cfg))
-        est = stage1_pose(moved, scene, score.best_shift, cfg)
-        err_t = float(np.hypot(est.tx - tx, est.ty - ty))
-        err_r = abs(float(np.degrees(wrap_angle(est.yaw - np.radians(yaw)))))
-        if err_t > 0.1 or err_r > 1.0:
-            return False
-    return True
-
-
-def _prop_retrieval_linear_scan() -> bool:
-    from .index import make_key
-
-    rng = np.random.default_rng(31)
-    idx = KeyframeIndex(exclusion_horizon=0)
-    descs = rng.uniform(0.1, 2.0, (200, 8, 12))
-    for i, d in enumerate(descs):
-        idx.insert(i, d)
-    for q in rng.uniform(0.1, 2.0, (10, 8, 12)):
-        got = idx.retrieve(q, 7)
-        key = make_key(q)
-        oracle = sorted(
-            (float(np.linalg.norm(make_key(d) - key)), i) for i, d in enumerate(descs)
-        )[:7]
-        if [fid for fid, _ in got] != [i for _, i in oracle]:
-            return False
-    return True
-
-
-_PROPERTIES = [
-    ("translation-invariance", _prop_translation_invariance),
-    ("descriptor-half-period", _prop_half_period),
-    ("shift-recovery", _prop_shift_recovery),
-    ("rotation-mod-180", _prop_rotation_mod_180),
-    ("pose-round-trip", _prop_pose_round_trip),
-    ("retrieval-linear-scan", _prop_retrieval_linear_scan),
-]
-
-
 def cmd_selftest(args, cfg: Config) -> int:
+    """Judge small fixed samples by the rules in ``fresco.properties``; each
+    check below yields one verdict per sample."""
+    cfg = Config()  # the samples are drawn for the default geometry
+
+    def translation():
+        rng = np.random.default_rng(11)
+        for _ in range(20):
+            img = rng.uniform(0.0, 30.0, (128, 128))
+            dr, dc = int(rng.integers(1, 128)), int(rng.integers(1, 128))
+            yield properties.translation_deviation(img, dr, dc) <= properties.TRANSLATION_RTOL
+
+    def half_period():
+        for seed in range(3):
+            scene = synth.generate(synth.SceneSpec(seed, range_limit=30.0))
+            yield properties.half_periodic(describe(scene, cfg))
+
+    def shift():
+        rng = np.random.default_rng(5)
+        for seed in range(5):
+            desc = describe(synth.generate(synth.SceneSpec(100 + seed, range_limit=30.0)), cfg)
+            yield properties.shift_recovered(desc, int(rng.integers(1, desc.shape[1] // 2)))
+
+    def rotation():
+        rng = np.random.default_rng(17)
+        for seed in range(5):
+            base = synth.generate(synth.SceneSpec(200 + seed, range_limit=30.0))
+            yaw = float(rng.uniform(0.0, 360.0))
+            turned = synth.perturb(base, yaw_deg=yaw)
+            yield properties.rotation_recovered(describe(turned, cfg), describe(base, cfg), yaw)
+
+    def pose():
+        rng = np.random.default_rng(23)
+        for seed in range(5):
+            base = synth.generate(synth.SceneSpec(300 + seed, walls=10, range_limit=30.0))
+            tx, ty = rng.uniform(-2.0, 2.0, 2)
+            yaw = float(rng.uniform(0.0, 360.0))
+            moved = synth.perturb(base, tx, ty, yaw)
+            k = matching.best_shift_l1(describe(moved, cfg), describe(base, cfg)).best_shift
+            yield properties.pose_recovered(stage1_pose(moved, base, k, cfg), tx, ty, yaw)
+
+    def retrieval():
+        rng = np.random.default_rng(31)
+        idx = KeyframeIndex(exclusion_horizon=0)
+        descs = rng.uniform(0.1, 2.0, (200, 8, 12))
+        for i, d in enumerate(descs):
+            idx.insert(i, d)
+        keys = [make_key(d) for d in descs]
+        for q in rng.uniform(0.1, 2.0, (10, 8, 12)):
+            want = properties.linear_scan(keys, make_key(q), 7)
+            yield [fid for fid, _ in idx.retrieve(q, 7)] == want
+
     failures = 0
-    for name, prop in _PROPERTIES:
-        ok = prop()
+    for name, verdicts in [
+        ("translation-invariance", translation),
+        ("descriptor-half-period", half_period),
+        ("shift-recovery", shift),
+        ("rotation-mod-180", rotation),
+        ("pose-round-trip", pose),
+        ("retrieval-linear-scan", retrieval),
+    ]:
+        ok = all(verdicts())
         print(f"{'PASS' if ok else 'FAIL'} {name}")
         failures += not ok
     return 1 if failures else 0

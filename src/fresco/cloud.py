@@ -92,35 +92,50 @@ def load_kitti_bin(path, frame_id: int = 0) -> PointCloud:
     return PointCloud(arr[:, :3], arr[:, 3], frame_id, dropped)
 
 
+def read_text_lines(path) -> list[str]:
+    """The lines of a UTF-8 text file; bytes that are not UTF-8 are a FormatError."""
+    raw = Path(path).read_bytes()
+    try:
+        return raw.decode("utf-8").splitlines()
+    except UnicodeDecodeError as err:
+        line = raw.count(b"\n", 0, err.start) + 1
+        raise FormatError(f"{path}:{line}: not UTF-8 text") from None
+
+
+def parse_floats(fields, where: str) -> list[float]:
+    """Each field as a float; one that is not a number is a FormatError at ``where``."""
+    try:
+        return [float(f) for f in fields]
+    except ValueError:
+        raise FormatError(f"{where}: non-numeric field") from None
+
+
 def load_ascii_cloud(path, frame_id: int = 0) -> PointCloud:
     """Read a whitespace-separated text cloud: ``x y z [intensity]`` per line.
 
-    Blank lines and ``#`` comments are ignored.  Lines with any other column
-    count are rejected with the offending line number.
+    The file is UTF-8 text.  Blank lines and ``#`` comments are ignored.
+    Lines with any other column count are rejected with the offending line
+    number.
     """
     rows = []
     has_intensity = None
     dropped = 0
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            text = line.split("#", 1)[0].strip()
-            if not text:
-                continue
-            parts = text.split()
-            if len(parts) not in (3, 4):
-                raise FormatError(f"{path}: line {lineno}: expected 3 or 4 columns, got {len(parts)}")
-            try:
-                vals = [float(p) for p in parts]
-            except ValueError:
-                raise FormatError(f"{path}: line {lineno}: non-numeric field") from None
-            if has_intensity is None:
-                has_intensity = len(vals) == 4
-            elif has_intensity != (len(vals) == 4):
-                raise FormatError(f"{path}: line {lineno}: inconsistent column count")
-            if not all(np.isfinite(vals)):
-                dropped += 1
-                continue
-            rows.append(vals)
+    for lineno, line in enumerate(read_text_lines(path), start=1):
+        text = line.split("#", 1)[0].strip()
+        if not text:
+            continue
+        parts = text.split()
+        if len(parts) not in (3, 4):
+            raise FormatError(f"{path}: line {lineno}: expected 3 or 4 columns, got {len(parts)}")
+        vals = parse_floats(parts, f"{path}: line {lineno}")
+        if has_intensity is None:
+            has_intensity = len(vals) == 4
+        elif has_intensity != (len(vals) == 4):
+            raise FormatError(f"{path}: line {lineno}: inconsistent column count")
+        if not all(np.isfinite(vals)):
+            dropped += 1
+            continue
+        rows.append(vals)
     if not rows:
         out = empty_cloud(frame_id)
         out.dropped = dropped

@@ -119,7 +119,7 @@ def load_config(path) -> Config:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             data = json.load(fh)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # malformed JSON, or bytes that are not UTF-8
         raise ConfigError(f"{path}: invalid JSON ({exc})") from None
     if not isinstance(data, dict):
         raise ConfigError(f"{path}: top level must be a JSON object")

@@ -18,7 +18,8 @@ Pose files are optional (index building needs none); evaluation refuses a
 dataset without one.  KITTI pose rows map camera coordinates to world, so
 the calib Tr is applied to express every pose in the sensor frame; when
 calib.txt is absent the identity is used, which only offsets positions by
-the fixed sensor lever arm.
+the fixed sensor lever arm.  Text files are UTF-8; malformed ones raise
+FormatError.
 """
 
 from __future__ import annotations
@@ -29,7 +30,15 @@ from pathlib import Path
 
 import numpy as np
 
-from .cloud import FormatError, PointCloud, load_ascii_cloud, load_kitti_bin
+from .cloud import (
+    FormatError,
+    PointCloud,
+    load_ascii_cloud,
+    load_kitti_bin,
+    parse_floats,
+    read_text_lines,
+)
+from .pose import rot2
 
 _SCAN_SUFFIXES = (".bin", ".txt", ".xyz")
 
@@ -56,10 +65,20 @@ class Dataset:
 def load_scan(path) -> PointCloud:
     """Read one scan file, dispatching on suffix; stem becomes the frame id."""
     path = Path(path)
-    stem_id = int(path.stem) if path.stem.isdigit() else 0
+    stem_id = _stem_id(path) or 0
     if path.suffix == ".bin":
         return load_kitti_bin(path, frame_id=stem_id)
     return load_ascii_cloud(path, frame_id=stem_id)
+
+
+def _stem_id(path: Path) -> int | None:
+    """The frame id a numeric file stem names; None for other stems."""
+    if not path.stem.isdigit():
+        return None
+    # a superscript digit passes isdigit; index files store ids as u64
+    if not path.stem.isdecimal() or int(path.stem) >= 2**64:
+        raise FormatError(f"{path}: file name is not a decimal frame id below 2**64")
+    return int(path.stem)
 
 
 def _homogeneous(rows: np.ndarray) -> np.ndarray:
@@ -70,12 +89,9 @@ def _homogeneous(rows: np.ndarray) -> np.ndarray:
 
 def load_kitti_calib(path) -> np.ndarray:
     """Extract the sensor-to-camera transform (the Tr line) as a 4x4 matrix."""
-    for line in Path(path).read_text().splitlines():
+    for line in read_text_lines(path):
         if line.startswith("Tr:") or line.startswith("Tr "):
-            try:
-                vals = [float(v) for v in line.split()[1:]]
-            except ValueError:
-                raise FormatError(f"{path}: non-numeric value in Tr line") from None
+            vals = parse_floats(line.split()[1:], f"{path}: Tr line")
             if len(vals) != 12:
                 raise FormatError(f"{path}: Tr line has {len(vals)} values, expected 12")
             return _homogeneous(np.array(vals))
@@ -91,18 +107,16 @@ def load_kitti_poses(path, sensor_to_cam: np.ndarray | None = None) -> list[Traj
     poses live in the sensor frame.
     """
     poses = []
-    for lineno, line in enumerate(Path(path).read_text().splitlines()):
+    for lineno, line in enumerate(read_text_lines(path)):
         if not line.strip():
             continue
-        try:
-            vals = [float(v) for v in line.split()]
-        except ValueError:
-            raise FormatError(f"{path}:{lineno + 1}: non-numeric field") from None
+        vals = parse_floats(line.split(), f"{path}:{lineno + 1}")
         if len(vals) != 12:
             raise FormatError(f"{path}:{lineno + 1}: {len(vals)} values, expected 12")
         m = _homogeneous(np.array(vals))
         if sensor_to_cam is not None:
-            m = m @ sensor_to_cam
+            with np.errstate(over="ignore", invalid="ignore"):  # caught just below
+                m = m @ sensor_to_cam
         if not np.isfinite(m).all():
             raise FormatError(f"{path}:{lineno + 1}: non-finite pose")
         poses.append(TrajectoryPose(lineno, m[:3, 3].copy(), m))
@@ -114,33 +128,29 @@ def load_generic_poses(path) -> list[TrajectoryPose]:
     poses = []
     last_id = None
     seen_data = False
-    for lineno, line in enumerate(Path(path).read_text().splitlines()):
+    for lineno, line in enumerate(read_text_lines(path)):
         text = line.strip()
-        if not text or text.startswith("#"):
-            continue
         fields = [f.strip() for f in re.split(r"[,\s]+", text) if f.strip()]
+        if not fields or text.startswith("#"):  # blank, separators only, or a comment
+            continue
         if not seen_data and not _is_number(fields[0]):
             continue  # header row
         seen_data = True
-        try:
-            vals = [float(f) for f in fields]
-        except ValueError:
-            raise FormatError(f"{path}:{lineno + 1}: non-numeric field") from None
-        if len(vals) == 5:
-            fid = int(vals[0])
-            yaw = np.radians(vals[4])
-            c, s = np.cos(yaw), np.sin(yaw)
-            m = np.eye(4)
-            m[:2, :2] = [[c, -s], [s, c]]
-            m[:3, 3] = vals[1:4]
-        elif len(vals) == 13:
-            fid = int(vals[0])
-            m = _homogeneous(np.array(vals[1:]))
-        else:
+        vals = parse_floats(fields, f"{path}:{lineno + 1}")
+        if len(vals) not in (5, 13):
             raise FormatError(
                 f"{path}:{lineno + 1}: {len(vals)} fields, expected 5 (frame,x,y,z,yaw_deg)"
                 " or 13 (frame + 3x4 matrix)"
             )
+        if not vals[0].is_integer():  # also rejects nan and inf
+            raise FormatError(f"{path}:{lineno + 1}: frame id {fields[0]} is not an integer")
+        fid = int(vals[0])
+        if len(vals) == 5:
+            m = np.eye(4)
+            m[:2, :2] = rot2(np.radians(vals[4]))
+            m[:3, 3] = vals[1:4]
+        else:
+            m = _homogeneous(np.array(vals[1:]))
         if not np.isfinite(m).all():
             raise FormatError(f"{path}:{lineno + 1}: non-finite pose")
         if last_id is not None and fid <= last_id:
@@ -161,8 +171,8 @@ def _is_number(text: str) -> bool:
 def _scan_files(directory: Path, suffixes) -> dict[int, Path]:
     found = {}
     for p in sorted(directory.iterdir()):
-        if p.suffix.lower() in suffixes and p.stem.isdigit():
-            fid = int(p.stem)
+        fid = _stem_id(p) if p.suffix.lower() in suffixes else None
+        if fid is not None:
             if fid in found:
                 raise FormatError(f"{directory}: duplicate frame id {fid}")
             found[fid] = p

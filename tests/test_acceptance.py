@@ -13,15 +13,13 @@ import time
 import numpy as np
 import pytest
 
-from fresco import synth
+from fresco import properties, synth
 from fresco.config import Config
 from fresco.datasets import load_dataset
 from fresco.evaluate import run_evaluation
 from fresco.index import KeyframeIndex, make_key
 from fresco.matching import best_shift_l1
 from fresco.pipeline import describe, stage1_pose
-from fresco.pose import wrap_angle
-from fresco.spectrum import log_spectrum
 
 KITTI_ENV = "FRESCO_KITTI08_ROOT"
 
@@ -46,14 +44,11 @@ def test_spectrum_is_translation_invariant():
         img = rng.uniform(0.0, 10.0, (128, 128))
         dr = int(rng.integers(0, 128))
         dc = int(rng.integers(0, 128))
-        a = log_spectrum(img)
-        b = log_spectrum(np.roll(np.roll(img, dr, axis=0), dc, axis=1))
-        denom = np.maximum(np.maximum(np.abs(a), np.abs(b)), 1e-12)
-        worst = max(worst, float(np.max(np.abs(a - b) / denom)))
+        worst = max(worst, properties.translation_deviation(img, dr, dc))
     dt = time.perf_counter() - t0
     _verdict(
         "translation invariance",
-        worst <= 1e-9 and dt < 10.0,
+        worst <= properties.TRANSLATION_RTOL and dt < 10.0,
         f"worst relative deviation {worst:.2e} over 100 image/shift pairs in {dt:.1f}s",
     )
 
@@ -74,10 +69,7 @@ def test_rotation_recovered_within_three_degrees():
         scene = synth.generate(spec)
         yaw = float(rng.uniform(0.0, 360.0))
         turned = synth.perturb(scene, yaw_deg=yaw)
-        shift = best_shift_l1(describe(turned, cfg), describe(scene, cfg)).best_shift
-        recovered = shift / cfg.angular_bins * 360.0
-        err = abs((recovered - yaw + 90.0) % 180.0 - 90.0)
-        hits += err <= 3.0
+        hits += properties.rotation_recovered(describe(turned, cfg), describe(scene, cfg), yaw)
     dt = time.perf_counter() - t0
     _verdict(
         "rotation recovery",
@@ -95,14 +87,10 @@ def test_retrieval_matches_a_linear_scan_exactly():
         idx = KeyframeIndex(exclusion_horizon=0)
         for i, d in enumerate(descs):
             idx.insert(i, d)
-        k = min(20, size)
         for _ in range(50):
             q = rng.uniform(0.1, 1.1, (8, 12))
             got = [fid for fid, _ in idx.retrieve(q, 20)]
-            dist = np.linalg.norm(keys - make_key(q), axis=1)
-            want = sorted(range(size), key=lambda i: (dist[i], i))[:k]
-            if set(got) != set(want) or len(got) != k:
-                mismatches += 1
+            mismatches += got != properties.linear_scan(keys, make_key(q), 20)
     _verdict(
         "retrieval exactness",
         mismatches == 0,
@@ -174,10 +162,7 @@ def test_planar_pose_within_tenth_meter_and_degree():
         est = stage1_pose(moved, scene, shift, cfg)
         # the estimate maps mover points into scene frame, which is exactly
         # the viewpoint the perturbed copy was re-observed from
-        gt_yaw = np.radians(yaw)
-        err_t = float(np.hypot(est.tx - tx, est.ty - ty))
-        err_yaw = abs(float(np.degrees(wrap_angle(est.yaw - gt_yaw))))
-        hits += err_t <= 0.1 and err_yaw <= 1.0
+        hits += properties.pose_recovered(est, tx, ty, yaw)
     dt = time.perf_counter() - t0
     _verdict(
         "planar pose accuracy",

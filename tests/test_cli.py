@@ -257,6 +257,38 @@ def test_eval_output_path_collision_is_an_io_error(places, tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize(
+    "fmt, name, raw, where",
+    [
+        pytest.param("generic", "poses.csv", b"frame,x,y,z,yaw_deg\n0,0,0,0,0\nnan,1,0,0,0\n",
+                     "poses.csv:3", id="frame-nan"),
+        pytest.param("generic", "poses.csv", b"0,0,0,0,0\n1e999,1,0,0,0\n", "poses.csv:2",
+                     id="frame-overflow"),
+        pytest.param("generic", "poses.csv", b"0,0,0,0,0\n1.5,1,0,0,0\n", "poses.csv:2",
+                     id="frame-fraction"),
+        pytest.param("generic", "poses.csv", b"0,0,0,0,0\n1,\xe9,0,0,0\n", "poses.csv:2",
+                     id="poses-csv-not-utf8"),
+        pytest.param("generic", "000001.txt", b"1 2 3\n4 5 \xff\n", "000001.txt:2",
+                     id="scan-not-utf8"),
+        pytest.param("generic", "\u00b2.bin", b"", "\u00b2.bin", id="superscript-stem"),
+        pytest.param("generic", "18446744073709551616.bin", b"", "18446744073709551616.bin",
+                     id="stem-past-u64"),
+        pytest.param("kitti", "poses.txt", b"\x80\n", "poses.txt:1", id="poses-txt-not-utf8"),
+        pytest.param("kitti", "calib.txt", b"P0: 0\nTr: \xff\n", "calib.txt:2",
+                     id="calib-not-utf8"),
+    ],
+)
+def test_malformed_dataset_text_is_a_format_error(tmp_path, capsys, fmt, name, raw, where):
+    (tmp_path / "velodyne").mkdir()  # the kitti layout; a generic dataset ignores both
+    (tmp_path / "poses.txt").write_text("1 0 0 0 0 1 0 0 0 0 1 0\n")
+    (tmp_path / name).write_bytes(raw)
+    out = str(tmp_path / "x.frix")
+    code = main(["build", "--dataset", str(tmp_path), "--format", fmt, "--out", out])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert where in err and "Traceback" not in err
+
+
 def test_all_ground_scan_is_degenerate(places, tmp_path, capsys):
     _, index, _ = places
     g = np.arange(-12.0, 12.0 + 1e-9, 0.4)

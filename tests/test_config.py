@@ -72,9 +72,10 @@ def test_load_config_requires_version(tmp_path):
 
 def test_load_config_rejects_bad_json(tmp_path):
     p = tmp_path / "cfg.json"
-    p.write_text("{not json")
-    with pytest.raises(ConfigError, match="invalid JSON"):
-        load_config(p)
+    for raw in (b"{not json", b'{"version": 1, "x": "\xff"}'):
+        p.write_bytes(raw)
+        with pytest.raises(ConfigError, match="invalid JSON"):
+            load_config(p)
     p.write_text("[1, 2]")
     with pytest.raises(ConfigError, match="JSON object"):
         load_config(p)

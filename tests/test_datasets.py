@@ -85,9 +85,17 @@ def test_kitti_poses_reject_malformed(tmp_path):
         load_kitti_poses(p)
 
 
+def test_kitti_poses_overflowing_the_calib_are_non_finite(tmp_path):
+    p = tmp_path / "poses.txt"
+    p.write_text(_kitti_pose_line(np.diag([1e308, 1.0, 1.0, 1.0])) + "\n")
+    # the overflow is reported as a FormatError, not as a numpy RuntimeWarning
+    with pytest.raises(FormatError, match="poses.txt:1: non-finite"):
+        load_kitti_poses(p, sensor_to_cam=np.diag([1e308, 1.0, 1.0, 1.0]))
+
+
 def test_generic_poses_five_field_form(tmp_path):
     p = tmp_path / "poses.csv"
-    p.write_text("frame,x,y,z,yaw_deg\n0,1.0,2.0,0.5,90\n3,4.0,5.0,0.0,0\n")
+    p.write_text("frame,x,y,z,yaw_deg\n0,1.0,2.0,0.5,90\n3.0,4.0,5.0,0.0,0\n")
     poses = load_generic_poses(p)
     assert [q.frame_id for q in poses] == [0, 3]
     np.testing.assert_allclose(poses[0].position, [1.0, 2.0, 0.5])

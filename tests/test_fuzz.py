@@ -1,4 +1,4 @@
-"""Binary parsers fed truncated, corrupted and random bytes: each returns a
+"""Parsers fed truncated, corrupted and random bytes or rows: each returns a
 value or raises FormatError, nothing else (a numpy RuntimeWarning fails the
 run, see pyproject.toml)."""
 
@@ -9,7 +9,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fresco.cloud import FormatError, PointCloud, load_kitti_bin
+from fresco.cloud import FormatError, PointCloud, load_ascii_cloud, load_kitti_bin
+from fresco.datasets import load_generic_poses, load_kitti_poses
 from fresco.index import KeyframeIndex
 from fresco.spectrum import descriptor_from_bytes, descriptor_to_bytes
 
@@ -203,3 +204,96 @@ def test_kitti_bin_keeps_every_finite_record(scratch, raw):
 @given(_records(st.one_of(_FINITE, st.sampled_from(_NON_FINITE), st.integers(0, 2**32 - 1))))
 def test_kitti_bin_drops_non_finite_records(scratch, raw):
     _load_bin(scratch.with_suffix(".bin"), raw)
+
+
+# text parsers: tokens that parse as finite numbers, as non-finite ones,
+# and as neither
+_FLOAT = st.floats(allow_nan=False, allow_infinity=False)
+_FINITE_TEXT = _FLOAT.map(repr)
+_NON_FINITE_TEXT = st.sampled_from(["nan", "-nan", "inf", "-Infinity", "1e999"])
+_TOKENS = st.one_of(
+    _FINITE_TEXT,
+    _NON_FINITE_TEXT,
+    st.integers(-3, 10**6).map(str),
+    st.sampled_from(["", "x", "1.5", "3.0", "frame", "#", "Tr:", "²", "\xff"]),
+)
+
+
+def _text(rows, sep: str = " ") -> bytes:
+    return "".join(sep.join(r) + "\n" for r in rows).encode("utf-8")
+
+
+def _written(path, raw: bytes):
+    path.write_bytes(raw)
+    return path
+
+
+def _parse_text(loader, path, raw: bytes):
+    try:
+        return loader(_written(path, raw))
+    except FormatError:
+        return None
+
+
+@pytest.mark.parametrize("loader", [load_ascii_cloud, load_generic_poses, load_kitti_poses])
+@settings(max_examples=100, deadline=None)
+@given(
+    raw=st.one_of(
+        st.binary(max_size=400),
+        st.text("0123456789.,;eE+-xnaif#:\t\n\r ²", max_size=300).map(str.encode),
+        st.lists(st.lists(_TOKENS, max_size=14), max_size=12).map(_text),
+        st.lists(st.lists(_TOKENS, max_size=14), max_size=12).map(lambda r: _text(r, ",")),
+    )
+)
+def test_text_parsers_survive_random_input(scratch, loader, raw):
+    got = _parse_text(loader, scratch.with_suffix(".txt"), raw)
+    if isinstance(got, list):  # a pose file: finite, in strictly increasing id order
+        assert all(np.isfinite(p.matrix).all() for p in got)
+        assert all(a.frame_id < b.frame_id for a, b in zip(got, got[1:]))
+
+
+@settings(max_examples=100, deadline=None)
+@given(cols=st.sampled_from([3, 4]), data=st.data())
+def test_ascii_cloud_keeps_exactly_the_finite_rows(scratch, cols, data):
+    value = st.one_of(_FINITE_TEXT, _NON_FINITE_TEXT)
+    rows = data.draw(st.lists(st.lists(value, min_size=cols, max_size=cols), max_size=30))
+    cloud = load_ascii_cloud(_written(scratch.with_suffix(".txt"), _text(rows, "\t")))
+    vals = [[float(v) for v in r] for r in rows]
+    want = np.array([r for r in vals if np.isfinite(r).all()]).reshape(-1, cols)
+    np.testing.assert_array_equal(cloud.xyz, want[:, :3])
+    if cols == 4 and len(want):
+        np.testing.assert_array_equal(cloud.intensity, want[:, 3])
+    assert cloud.dropped == len(rows) - len(want)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    ids=st.sets(st.integers(0, 10**6), max_size=20).map(sorted),
+    width=st.sampled_from([4, 12]),
+    as_float=st.booleans(),
+    header=st.booleans(),
+    data=st.data(),
+)
+def test_generic_poses_load_every_finite_row_in_order(scratch, ids, width, as_float, header, data):
+    fields = st.lists(_FLOAT, min_size=width, max_size=width)
+    rows = [data.draw(fields) for _ in ids]
+    text = [["frame", "x", "y", "z", "yaw_deg"]] if header else []
+    for fid, r in zip(ids, rows):
+        text.append([f"{fid}.0" if as_float else str(fid)] + [repr(v) for v in r])
+    poses = load_generic_poses(_written(scratch.with_suffix(".csv"), _text(text, ",")))
+    assert [p.frame_id for p in poses] == ids
+    for p, r in zip(poses, rows):
+        if width == 4:
+            np.testing.assert_array_equal(p.position, r[:3])
+        else:
+            np.testing.assert_array_equal(p.matrix[:3], np.reshape(r, (3, 4)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.lists(_FLOAT, min_size=12, max_size=12), max_size=20))
+def test_kitti_poses_load_every_finite_row_in_order(scratch, rows):
+    text = [[repr(v) for v in r] for r in rows]
+    poses = load_kitti_poses(_written(scratch.with_suffix(".txt"), _text(text)))
+    assert [p.frame_id for p in poses] == list(range(len(rows)))
+    for p, r in zip(poses, rows):
+        np.testing.assert_array_equal(p.matrix[:3], np.reshape(r, (3, 4)))

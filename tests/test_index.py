@@ -10,6 +10,7 @@ from fresco.config import Config
 from fresco.index import DegenerateDescriptorError, KeyframeIndex, make_key
 from fresco.matching import best_shift_l1
 from fresco.pipeline import describe
+from fresco.properties import linear_scan
 from fresco.spectrum import FormatError
 
 
@@ -117,12 +118,7 @@ def test_retrieve_matches_linear_scan():
     keys = np.array([make_key(d) for d in descs])
     for _ in range(25):
         q = _rand_desc(rng)
-        qk = make_key(q)
-        # oracle: exhaustive distance scan, ties to the smaller id
-        dist = np.linalg.norm(keys - qk, axis=1)
-        order = sorted(range(500), key=lambda i: (dist[i], i))[:20]
-        got = [fid for fid, _ in idx.retrieve(q, 20)]
-        assert got == order
+        assert [fid for fid, _ in idx.retrieve(q, 20)] == linear_scan(keys, make_key(q), 20)
 
 
 def test_exclusion_horizon_hides_recent_frames():
