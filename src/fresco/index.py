@@ -12,7 +12,7 @@ import numpy as np
 from scipy.spatial import cKDTree
 
 from .cloud import FormatError
-from .matching import circular_shift, row_cosine, shift_l1_table
+from .matching import circular_shift, confirm_min, row_cosine, shift_l1_table
 from .pose import shift_to_rotation
 
 _MAGIC = b"FRIX"
@@ -29,9 +29,13 @@ def make_key(desc: np.ndarray) -> np.ndarray:
     standard deviations, each normalized by the global descriptor mean.
 
     Row statistics ignore column order entirely, so the key survives the
-    circular shifts a scene rotation induces.
+    circular shifts a scene rotation induces.  A non-finite descriptor is a
+    ValueError, so ``insert`` and ``match`` reject it before storing or
+    scoring anything.
     """
     desc = np.asarray(desc, dtype=np.float64)
+    if not np.isfinite(desc).all():
+        raise ValueError("descriptor has a non-finite value")
     g = desc.mean() if desc.size else 0.0
     if not g > 0.0:
         raise DegenerateDescriptorError("descriptor global mean is not positive")
@@ -95,7 +99,8 @@ class KeyframeIndex:
 
     def insert(self, frame_id: int, desc: np.ndarray) -> None:
         """Add a frame; ids must be new and strictly increasing, and every
-        descriptor must have the first one's 2-D shape, at least 2 columns wide."""
+        descriptor must be finite and have the first one's 2-D shape, at
+        least 2 columns wide."""
         self._check_next_id(frame_id)
         desc = np.asarray(desc, dtype=np.float64)
         stored = self._descs[0].shape if self._descs else None
@@ -146,23 +151,22 @@ class KeyframeIndex:
     ) -> MatchResult:
         """Score retrieved candidates and decide acceptance.
 
-        All candidates are scored in one batched shift search.  The one
-        minimizing the shift-searched L1 distance (ties to the earliest in
-        retrieval order, then to the smallest shift) is checked once against
-        both thresholds; a cosine rejection is final (no fallback to the
-        runner-up).  Scores are reported either way so callers can sweep
-        thresholds afterwards.
+        All candidates are screened in one batched shift search
+        (``shift_l1_table``) and the near-minimal entries confirmed exactly
+        (``confirm_min``).  The one minimizing the shift-searched L1 distance
+        (ties to the earliest in retrieval order, then to the smallest
+        shift) is checked once against both thresholds; a cosine rejection
+        is final (no fallback to the runner-up).  Scores are reported either
+        way so callers can sweep thresholds afterwards.
         """
         desc = np.asarray(desc, dtype=np.float64)
         candidates = self.retrieve(desc, num_candidates)
         if not candidates:
             return MatchResult(None, np.inf, np.inf, 0, 0.0, False)
         ids = [fid for fid, _ in candidates]
-        table = shift_l1_table(desc, np.stack([self.descriptor(fid) for fid in ids]))
-        shifts = table.argmin(axis=1)
-        dists = table.min(axis=1)
-        best = int(np.argmin(dists))
-        best_id, d_l1, shift = ids[best], float(dists[best]), int(shifts[best])
+        stack = np.stack([self.descriptor(fid) for fid in ids])
+        best, shift, d_l1 = confirm_min(desc, stack, shift_l1_table(desc, stack))
+        best_id = ids[best]
         # shift(desc, k) ~ candidate, so the candidate aligned to desc is shift(candidate, -k)
         d_r = row_cosine(desc, circular_shift(self.descriptor(best_id), -shift))
         accepted = d_l1 <= l1_threshold and d_r <= cosine_threshold

@@ -5,6 +5,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
+from scipy.spatial.distance import cdist
+
+_EPS = np.finfo(np.float64).eps
+_TINY = np.finfo(np.float64).smallest_subnormal
 
 
 @dataclass
@@ -19,13 +24,16 @@ def circular_shift(desc: np.ndarray, k: int) -> np.ndarray:
 
 
 def shift_l1_table(query: np.ndarray, candidates: np.ndarray) -> np.ndarray:
-    """Shift-searched mean L1 distances of a query against a stack of candidates.
+    """Screened shift-searched mean L1 distances of a query against a stack of candidates.
 
     ``candidates`` has shape (n, rows, width); entry [i, k] of the returned
-    (n, width/2) table is the per-element mean |shift(query, k) - candidates[i]|.
-    Each candidate is laid out column-major and doubled, so its shift by -k is
-    one contiguous slice and every shift costs three flat passes over all
-    candidates at once.  Exact float64 for arbitrary arrays.
+    (n, width/2) table is the per-element mean |shift(query, k) - candidates[i]|
+    up to rounding.  One cityblock ``cdist`` compares the flattened candidates
+    with the query's width/2 shifted copies, which are windows over the query
+    doubled along its columns.  Its summation order differs from numpy's, so
+    each entry lies within ``screen_slack(table, rows * width)`` of the exact
+    mean; ``confirm_min`` turns the table into the exact answer.  Inputs must
+    be finite.
     """
     query = np.asarray(query, dtype=np.float64)
     candidates = np.asarray(candidates, dtype=np.float64)
@@ -33,18 +41,54 @@ def shift_l1_table(query: np.ndarray, candidates: np.ndarray) -> np.ndarray:
         raise ValueError(
             f"descriptor shapes differ: {query.shape} vs {candidates.shape[1:]}"
         )
+    if not (np.isfinite(query).all() and np.isfinite(candidates).all()):
+        raise ValueError("descriptor has a non-finite value")
     n, rows, width = candidates.shape
     size = rows * width
-    cols = candidates.transpose(0, 2, 1)
-    doubled = np.concatenate([cols, cols], axis=1).reshape(n, 2 * size)
-    flat_query = query.T.ravel()
-    diff = np.empty((n, size))
-    sums = np.empty((n, width // 2))
-    for k in range(width // 2):
-        np.subtract(doubled[:, k * rows : k * rows + size], flat_query, out=diff)
-        np.abs(diff, out=diff)
-        np.sum(diff, axis=1, out=sums[:, k])
-    return sums / size
+    doubled = np.concatenate([query, query], axis=1)
+    # window m is shift(query, width - m), so shifts 0..width/2-1 are windows width, width-1, ...
+    windows = sliding_window_view(doubled, width, axis=1)[:, width : width - width // 2 : -1]
+    shifted = windows.transpose(1, 0, 2).reshape(width // 2, size)
+    return cdist(candidates.reshape(n, size), shifted, "cityblock") / size
+
+
+def screen_slack(table: np.ndarray, size: int) -> np.ndarray:
+    """Bound on |screen entry - exact mean| for means over ``size`` elements.
+
+    Both are a sum of ``size`` rounded absolute differences, in some order,
+    then one division, so each lies within about size·eps/2 relative (plus
+    half a subnormal) of the true mean.  The bound doubles their sum:
+    2·(size + 2)·eps relative to the screen entry, plus 4 subnormals.
+    """
+    return 2 * (size + 2) * _EPS * table + 4 * _TINY
+
+
+def confirm_min(
+    query: np.ndarray, candidates: np.ndarray, table: np.ndarray
+) -> tuple[int, int, float]:
+    """(candidate, shift, d_l1) with the smallest exact mean L1 distance.
+
+    ``table`` is ``shift_l1_table(query, candidates)``.  Only the entries
+    whose slack reaches the screen minimum are recomputed, with the exact
+    arithmetic of a one-shift search: the candidate's columns turned by
+    -shift and laid out column-major, minus the query, absolute values,
+    numpy's pairwise sum, divided by the size.  Ties go to the earliest
+    candidate, then the smallest shift.
+    """
+    query = np.asarray(query, dtype=np.float64)
+    candidates = np.asarray(candidates, dtype=np.float64)
+    _, rows, width = candidates.shape
+    size = rows * width
+    slack = screen_slack(table, size)
+    lowest = int(np.argmin(table))
+    keep = np.flatnonzero(table - slack <= table.flat[lowest] + slack.flat[lowest])
+    ids, shifts = np.divmod(keep, table.shape[1])  # ascending, so argmin breaks ties
+    cols = (np.arange(width) + shifts[:, None]) % width
+    aligned = candidates[ids[:, None, None], np.arange(rows)[:, None], cols[:, None, :]]
+    diff = aligned.transpose(0, 2, 1).reshape(len(keep), size) - query.T.ravel()
+    exact = np.abs(diff).sum(axis=1) / size
+    best = int(np.argmin(exact))
+    return int(ids[best]), int(shifts[best]), float(exact[best])
 
 
 def best_shift_l1(query: np.ndarray, candidate: np.ndarray) -> MatchScore:
@@ -53,11 +97,14 @@ def best_shift_l1(query: np.ndarray, candidate: np.ndarray) -> MatchScore:
     Equivalently the candidate is shifted by -k; so best_shift is the amount
     the candidate's columns lead the query's.  Because the underlying spectra
     are centro-symmetric the descriptor is periodic in half its width, so only
-    shifts in [0, width/2) are searched.  Ties go to the smallest shift.
+    shifts in [0, width/2) are searched.  The shifts are screened by
+    ``shift_l1_table`` and the winner confirmed by ``confirm_min``, so d_l1
+    is the exact pairwise mean of the winning shift.  Ties go to the
+    smallest shift.
     """
-    dists = shift_l1_table(query, np.asarray(candidate)[None])[0]
-    k = int(np.argmin(dists))
-    return MatchScore(float(dists[k]), k)
+    candidates = np.asarray(candidate)[None]
+    _, k, d_l1 = confirm_min(query, candidates, shift_l1_table(query, candidates))
+    return MatchScore(d_l1, k)
 
 
 def row_cosine(query: np.ndarray, candidate_shifted: np.ndarray) -> float:

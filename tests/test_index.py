@@ -89,6 +89,27 @@ def test_insert_rejects_a_descriptor_of_another_shape(tmp_path):
     assert idx.match(_rand_desc(rng, 8, 12), 2, np.inf, np.inf).candidate_id in (0, 1)
 
 
+def test_non_finite_descriptors_are_rejected_and_leave_the_index_unchanged(tmp_path):
+    rng = np.random.default_rng(19)
+    idx = KeyframeIndex(exclusion_horizon=0)
+    idx.insert(0, _rand_desc(rng))
+    idx.save(tmp_path / "before.frix")
+    for bad in (np.inf, -np.inf, np.nan):
+        d = _rand_desc(rng)
+        d[2, 5] = bad
+        with pytest.raises(ValueError, match="non-finite"):
+            idx.insert(1, d)
+        with pytest.raises(ValueError, match="non-finite"):
+            idx.match(d, 1, np.inf, np.inf)
+        with pytest.raises(ValueError, match="non-finite"):
+            KeyframeIndex().match(d, 1, np.inf, np.inf)
+    assert idx.ids == [0]
+    idx.save(tmp_path / "after.frix")
+    assert (tmp_path / "after.frix").read_bytes() == (tmp_path / "before.frix").read_bytes()
+    assert KeyframeIndex.load(tmp_path / "after.frix").ids == [0]
+    idx.insert(1, _rand_desc(rng))
+
+
 def test_load_rejects_a_one_column_index_file(tmp_path):
     p = tmp_path / "narrow.frix"
     p.write_bytes(

@@ -2,10 +2,20 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from fresco import synth
 from fresco.config import Config
-from fresco.matching import best_shift_l1, circular_shift, row_cosine
+from fresco.index import KeyframeIndex
+from fresco.matching import (
+    best_shift_l1,
+    circular_shift,
+    row_cosine,
+    screen_slack,
+    shift_l1_table,
+)
 from fresco.pipeline import describe
 
 
@@ -107,6 +117,109 @@ def test_zero_distance_is_symmetric_on_real_descriptors():
 def test_shape_mismatch_rejected():
     with pytest.raises(ValueError):
         best_shift_l1(np.zeros((4, 8)), np.zeros((4, 10)))
+
+
+def _loop_table(query, candidates):
+    """The former per-shift search, kept as the bitwise reference: each
+    candidate laid out column-major and doubled, one flat pass per shift."""
+    n, rows, width = candidates.shape
+    size = rows * width
+    cols = candidates.transpose(0, 2, 1)
+    doubled = np.concatenate([cols, cols], axis=1).reshape(n, 2 * size)
+    flat_query = query.T.ravel()
+    diff = np.empty((n, size))
+    sums = np.empty((n, width // 2))
+    for k in range(width // 2):
+        np.subtract(doubled[:, k * rows : k * rows + size], flat_query, out=diff)
+        np.abs(diff, out=diff)
+        np.sum(diff, axis=1, out=sums[:, k])
+    return sums / size
+
+
+def _loop_best(query, candidates):
+    table = _loop_table(query, candidates)
+    shifts = table.argmin(axis=1)
+    dists = table.min(axis=1)
+    best = int(np.argmin(dists))
+    return best, int(shifts[best]), float(dists[best])
+
+
+def _assert_bitwise_like_the_loop(query, candidates):
+    want = _loop_best(query, candidates)
+    if len(candidates) == 1:
+        score = best_shift_l1(query, candidates[0])
+        assert (0, score.best_shift, score.d_l1) == want
+    idx = KeyframeIndex(exclusion_horizon=0)
+    for fid, c in enumerate(candidates):
+        idx.insert(fid, c)
+    order = [fid for fid, _ in idx.retrieve(query, len(candidates))]
+    i, k, d = _loop_best(query, candidates[order])
+    res = idx.match(query, len(candidates), np.inf, np.inf)
+    assert (res.candidate_id, res.best_shift, res.d_l1) == (order[i], k, d)
+
+
+def test_screen_and_confirm_equal_the_per_shift_loop_bitwise():
+    rng = np.random.default_rng(40)
+    for rows, width, n in ((32, 120, 20), (16, 40, 5), (5, 33, 3), (1, 7, 4), (3, 2, 2), (7, 40, 1)):
+        for _ in range(3):
+            q = rng.uniform(0, 8, (rows, width))
+            c = rng.uniform(0, 8, (n, rows, width))
+            c[n // 2] = np.roll(q, int(rng.integers(width)), axis=1) + rng.normal(0, 1e-9, q.shape)
+            _assert_bitwise_like_the_loop(q, c)
+
+
+def test_exact_ties_keep_the_earliest_candidate_and_smallest_shift():
+    rng = np.random.default_rng(41)
+    # periodic in a quarter of the width: shifts k and k + 30 tie exactly
+    d = np.tile(rng.uniform(0, 8, (32, 30)), (1, 4))
+    q = np.roll(d, 5, axis=1) + rng.normal(0, 1e-3, d.shape)
+    c = np.stack([rng.uniform(0, 8, d.shape), d, d.copy(), rng.uniform(0, 8, d.shape)])
+    assert _loop_best(q, c)[:2] == (1, 25)
+    _assert_bitwise_like_the_loop(q, c)
+    _assert_bitwise_like_the_loop(q, c[1:2])
+
+
+def test_near_ties_inside_the_screen_slack_are_confirmed_exactly():
+    # a constant query makes every shift score the same multiset of terms,
+    # so the exact means differ only in rounding, well inside the slack
+    rng = np.random.default_rng(0)
+    q = np.full((32, 120), 4.0)
+    c = rng.uniform(0, 8, (3, 32, 120))
+    exact = _loop_table(q, c)
+    assert all(len(np.unique(row)) > 1 for row in exact)
+    assert np.all(np.ptp(exact, axis=1) <= screen_slack(exact.min(axis=1), q.size))
+    _assert_bitwise_like_the_loop(q, c)
+    for one in c:
+        _assert_bitwise_like_the_loop(q, one[None])
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_screen_entries_lie_within_the_documented_slack(data):
+    rows = data.draw(st.integers(1, 8), label="rows")
+    width = data.draw(st.integers(2, 40), label="width")
+    n = data.draw(st.integers(1, 4), label="n")
+    values = st.floats(-1e6, 1e6, allow_nan=False, allow_infinity=False)
+    q = data.draw(arrays(np.float64, (rows, width), elements=values), label="query")
+    c = data.draw(arrays(np.float64, (n, rows, width), elements=values), label="candidates")
+    table = shift_l1_table(q, c)
+    assert table.shape == (n, width // 2)
+    brute = np.array(
+        [[np.abs(np.roll(q, k, 1) - ci).mean() for k in range(width // 2)] for ci in c]
+    )
+    assert np.all(np.abs(table - brute) <= screen_slack(table, rows * width))
+
+
+def test_non_finite_descriptors_rejected():
+    d = _rand_desc(11)
+    for bad in (np.inf, -np.inf, np.nan):
+        e = d.copy()
+        e[3, 7] = bad
+        for args in ((e, d), (d, e)):
+            with pytest.raises(ValueError, match="non-finite"):
+                best_shift_l1(*args)
+            with pytest.raises(ValueError, match="non-finite"):
+                shift_l1_table(args[0], args[1][None])
 
 
 def test_row_cosine_identical_rows_scores_zero():
