@@ -50,13 +50,12 @@ from .matching import (
     row_cosine,
     shift_l1_table,
 )
-from .pipeline import compact_2d, describe, planar_pose, preprocess, stage1_pose
+from .pipeline import compact_2d, describe, planar_pose, preprocess, relative_pose, stage1_pose
 from .pose import (
     Compact2dCloud,
     InsufficientStructureError,
     Se2Pose,
     Se3Pose,
-    alignment_mse_3d,
     estimate_pose_stage1,
     extract_compact_2d,
     nicp_2d,

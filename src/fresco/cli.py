@@ -27,7 +27,7 @@ from .config import (
 from .datasets import load_dataset, load_scan
 from .evaluate import json_safe, run_evaluation
 from .index import DegenerateDescriptorError, KeyframeIndex, make_key
-from .pipeline import describe, stage1_pose
+from .pipeline import describe, preprocess, relative_pose
 from .pose import InsufficientStructureError
 
 
@@ -129,14 +129,18 @@ def cmd_query(args, cfg: Config) -> int:
     if res.accepted and args.dataset:
         dataset = load_dataset(args.dataset, args.format)
         if res.candidate_id in dataset.scans:
-            candidate = load_scan(dataset.scans[res.candidate_id])
-            est = stage1_pose(cloud, candidate, res.best_shift, cfg)
+            candidate = preprocess(load_scan(dataset.scans[res.candidate_id]), cfg)
+            est = relative_pose(preprocess(cloud, cfg), candidate, res.best_shift, cfg)
             pose = {
                 "tx": est.tx,
                 "ty": est.ty,
+                "tz": est.tz,
+                "roll_deg": float(np.degrees(est.roll)),
+                "pitch_deg": float(np.degrees(est.pitch)),
                 "yaw_deg": float(np.degrees(est.yaw)),
                 "mse": est.mse,
                 "converged": est.converged,
+                "success": est.success,
             }
     out = {
         "match": res.candidate_id if res.accepted else None,
@@ -203,7 +207,8 @@ def cmd_selftest(args, cfg: Config) -> int:
             yaw = float(rng.uniform(0.0, 360.0))
             moved = synth.perturb(base, tx, ty, yaw)
             k = matching.best_shift_l1(describe(moved, cfg), describe(base, cfg)).best_shift
-            yield properties.pose_recovered(stage1_pose(moved, base, k, cfg), tx, ty, yaw)
+            est = relative_pose(preprocess(moved, cfg), preprocess(base, cfg), k, cfg)
+            yield properties.pose_recovered(est, tx, ty, yaw)
 
     def retrieval():
         rng = np.random.default_rng(31)

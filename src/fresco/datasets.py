@@ -144,6 +144,8 @@ def load_generic_poses(path) -> list[TrajectoryPose]:
             )
         if not vals[0].is_integer():  # also rejects nan and inf
             raise FormatError(f"{path}:{lineno + 1}: frame id {fields[0]} is not an integer")
+        if not np.isfinite(vals).all():  # before rot2, which warns on an infinite yaw
+            raise FormatError(f"{path}:{lineno + 1}: non-finite pose")
         fid = int(vals[0])
         if len(vals) == 5:
             m = np.eye(4)
@@ -151,8 +153,6 @@ def load_generic_poses(path) -> list[TrajectoryPose]:
             m[:3, 3] = vals[1:4]
         else:
             m = _homogeneous(np.array(vals[1:]))
-        if not np.isfinite(m).all():
-            raise FormatError(f"{path}:{lineno + 1}: non-finite pose")
         if last_id is not None and fid <= last_id:
             raise FormatError(f"{path}:{lineno + 1}: frame ids must be strictly increasing")
         last_id = fid

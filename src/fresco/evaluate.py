@@ -23,17 +23,8 @@ from .cloud import FormatError
 from .config import Config, thread_map, to_dict
 from .datasets import Dataset, TrajectoryPose, load_scan
 from .index import DegenerateDescriptorError, KeyframeIndex
-from .pipeline import compact_2d, describe, planar_pose, preprocess
-from .pose import (
-    STAGE2_SUCCESS_MSE,
-    InsufficientStructureError,
-    Se3Pose,
-    alignment_mse_3d,
-    matrix_to_se3,
-    refine_pose_3d,
-    se2_to_matrix,
-    wrap_angle,
-)
+from .pipeline import describe, preprocess, relative_pose
+from .pose import InsufficientStructureError, Se3Pose, wrap_angle
 
 
 def sample_keyframes(poses: list[TrajectoryPose], spacing_m: float) -> list[int]:
@@ -332,10 +323,6 @@ def run_evaluation(
     def cloud_of(fid: int):
         return preprocess(load_scan(dataset.scans[fid]), cfg)
 
-    @functools.cache
-    def compact_of(fid: int):
-        return compact_2d(cloud_of(fid), cfg)
-
     idx = KeyframeIndex(exclusion_horizon=cfg.exclusion_horizon)
     records: list[QueryRecord] = []
     match_rows: list[str] = []
@@ -376,24 +363,9 @@ def run_evaluation(
             continue
         cand = res.candidate_id
         try:
-            with timer.phase("stage1"):
-                est2 = planar_pose(compact_of(fid), compact_of(cand), res.best_shift, cfg)
+            est3 = relative_pose(cloud_of(fid), cloud_of(cand), res.best_shift, cfg, timer.phase)
         except InsufficientStructureError:
             est3 = Se3Pose(np.nan, np.nan, np.nan, np.nan, np.nan, np.nan)
-        else:
-            if cfg.stage2:
-                with timer.phase("stage2"):
-                    est3 = refine_pose_3d(cloud_of(fid), cloud_of(cand), est2, cfg.voxel_m)
-            else:
-                mse3 = alignment_mse_3d(
-                    cloud_of(fid), cloud_of(cand), se2_to_matrix(est2), cfg.voxel_m
-                )
-                est3 = matrix_to_se3(
-                    se2_to_matrix(est2),
-                    mse=mse3,
-                    converged=est2.converged,
-                    success=bool(mse3 < STAGE2_SUCCESS_MSE),
-                )
         pose_rows.append(
             f"{fid},{cand},{_fmt(est3.tx)},{_fmt(est3.ty)},{_fmt(est3.tz)},"
             f"{_fmt(np.degrees(est3.roll))},{_fmt(np.degrees(est3.pitch))},"

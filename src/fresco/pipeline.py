@@ -1,20 +1,25 @@
-"""Cloud-to-descriptor and stage-1 pose pipeline wired through a Config.
+"""Cloud-to-descriptor and two-stage pose pipeline wired through a Config.
 
 This is the one module that turns ``Config`` fields into layer calls:
 ``preprocess`` (crop and ground removal), ``describe`` (BEV, log spectrum,
-polar descriptor), ``compact_2d`` (planar registration input) and
-``planar_pose`` (two-branch planar NICP).  The CLI and the evaluation
+polar descriptor), ``compact_2d`` (planar registration input),
+``planar_pose`` (two-branch planar NICP, keeping the branch with the lower
+residual) and ``relative_pose`` (both stages).  The CLI and the evaluation
 harness call these instead of unpacking the config themselves.
 """
 
 from __future__ import annotations
 
+from contextlib import nullcontext
+from dataclasses import replace
+
 import numpy as np
 
+from . import pose
 from .bev import make_bev
 from .cloud import PointCloud, crop_window, remove_ground
 from .config import Config
-from .pose import Compact2dCloud, Se2Pose, estimate_pose_stage1, extract_compact_2d
+from .pose import Compact2dCloud, Se2Pose, Se3Pose, estimate_pose_stage1, extract_compact_2d
 from .spectrum import log_spectrum, polar_unroll
 
 
@@ -67,3 +72,24 @@ def stage1_pose(
         best_shift,
         cfg,
     )
+
+
+def relative_pose(
+    query: PointCloud, candidate: PointCloud, best_shift: int, cfg: Config, phase=nullcontext
+) -> Se3Pose:
+    """Two-stage relative pose between two ``preprocess``ed clouds.
+
+    Stage 1 is ``planar_pose`` on both clouds' ``compact_2d``.  With
+    ``cfg.stage2`` the planar pose seeds ``refine_pose_3d``; without it the
+    planar pose passes through with its 3D score and ``success`` from a
+    zero-iteration refine, and ``converged`` from stage 1.  ``phase(name)``
+    is entered around each stage ("stage1", "stage2") to time it.
+    """
+    with phase("stage1"):
+        planar = planar_pose(compact_2d(query, cfg), compact_2d(candidate, cfg), best_shift, cfg)
+    # looked up through the module, so a wrapper installed there sees the call
+    if not cfg.stage2:
+        seed = pose.refine_pose_3d(query, candidate, planar, cfg.voxel_m, max_iters=0)
+        return replace(seed, converged=planar.converged)
+    with phase("stage2"):
+        return pose.refine_pose_3d(query, candidate, planar, cfg.voxel_m)

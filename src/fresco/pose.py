@@ -322,26 +322,6 @@ def estimate_pose_stage1(
     return first
 
 
-def alignment_mse_3d(
-    query: PointCloud,
-    candidate: PointCloud,
-    matrix: np.ndarray,
-    voxel_m: float = 0.4,
-    gate_m: float = 0.5,
-) -> float:
-    """Mean squared 3D nearest-neighbor distance under a given alignment.
-
-    Both clouds are voxel-downsampled first; correspondences farther than
-    ``gate_m`` are ignored.  Returns inf when nothing falls inside the gate.
-    """
-    a = _voxel_centroids(query.xyz, voxel_m)
-    b = _voxel_centroids(candidate.xyz, voxel_m)
-    if a.shape[0] == 0 or b.shape[0] == 0:
-        return np.inf
-    dist, _ = _query_within(cKDTree(b), a @ matrix[:3, :3].T + matrix[:3, 3], gate_m)
-    return _gated_mse(dist, gate_m)
-
-
 def refine_pose_3d(
     query: PointCloud,
     candidate: PointCloud,
@@ -350,14 +330,16 @@ def refine_pose_3d(
     max_iters: int = 20,
     gate_start_m: float = 2.0,
     gate_end_m: float = 0.5,
-    success_mse: float = STAGE2_SUCCESS_MSE,
 ) -> Se3Pose:
     """Point-to-point 3D refinement of a planar pose.
 
     Seeds z, roll, and pitch at zero.  If the iteration fails to converge or
     would end with a higher mse than the seed pose, the seed is passed
-    through unchanged with ``converged=False``.  ``success`` records whether
-    the final mse beats ``success_mse``.  Nothing beyond the current gate is
+    through unchanged with ``converged=False``; ``max_iters=0`` therefore
+    scores the seed.  The mse is the mean squared distance between the two
+    clouds' voxel centroids over correspondences gated at ``gate_end_m``
+    (inf when none survive).  ``success`` records whether the final mse
+    beats ``STAGE2_SUCCESS_MSE``.  Nothing beyond the current gate is
     searched for a correspondence.
     """
     a = _voxel_centroids(query.xyz, voxel_m)
@@ -395,14 +377,13 @@ def refine_pose_3d(
         if np.linalg.norm(tvec) < 1e-3 and angle < 1e-4:
             converged = True
             break
+    mse = init_mse
     if converged:
         dist, _ = _query_within(tree, a @ t[:3, :3].T + t[:3, 3], gate_end_m)
         final_mse = _gated_mse(dist, gate_end_m)
-    if not converged or final_mse > init_mse:
-        return matrix_to_se3(
-            se2_to_matrix(init),
-            mse=init_mse,
-            converged=False,
-            success=bool(init_mse < success_mse),
-        )
-    return matrix_to_se3(t, mse=final_mse, converged=True, success=bool(final_mse < success_mse))
+        converged = final_mse <= init_mse
+        if converged:
+            mse = final_mse
+    if not converged:
+        t = se2_to_matrix(init)
+    return matrix_to_se3(t, mse=mse, converged=converged, success=bool(mse < STAGE2_SUCCESS_MSE))

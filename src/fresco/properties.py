@@ -9,7 +9,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import matching
-from .pose import Se2Pose, shift_to_rotation, wrap_angle
+from .pose import Se2Pose, Se3Pose, shift_to_rotation, wrap_angle
 from .spectrum import log_spectrum
 
 TRANSLATION_RTOL = 1e-9  # worst per-element relative change of the log spectrum
@@ -47,8 +47,8 @@ def rotation_recovered(turned: np.ndarray, desc: np.ndarray, yaw_deg: float) -> 
     return abs(err) <= ROTATION_TOL_DEG
 
 
-def pose_recovered(est: Se2Pose, tx: float, ty: float, yaw_deg: float) -> bool:
-    """Whether a planar estimate lies within POSE_TOL_M and POSE_TOL_DEG of the truth."""
+def pose_recovered(est: Se2Pose | Se3Pose, tx: float, ty: float, yaw_deg: float) -> bool:
+    """Whether an estimate's planar part lies within POSE_TOL_M and POSE_TOL_DEG of the truth."""
     err_t = float(np.hypot(est.tx - tx, est.ty - ty))
     err_r = abs(float(np.degrees(wrap_angle(est.yaw - np.radians(yaw_deg)))))
     return err_t <= POSE_TOL_M and err_r <= POSE_TOL_DEG

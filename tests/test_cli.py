@@ -70,9 +70,15 @@ def test_query_self_is_a_perfect_match(places, capsys):
     assert reply["d_l1"] < 1e-6  # stored descriptors are float32 quantized
     assert reply["shift"] == 0
     pose = reply["pose"]
+    assert set(pose) == {
+        "tx", "ty", "tz", "roll_deg", "pitch_deg", "yaw_deg", "mse", "converged", "success"
+    }
     assert abs(pose["tx"]) < 0.05 and abs(pose["ty"]) < 0.05
+    assert abs(pose["tz"]) < 0.05
     assert abs(pose["yaw_deg"]) < 0.5
-    assert pose["converged"] is True
+    assert abs(pose["roll_deg"]) < 0.5 and abs(pose["pitch_deg"]) < 0.5
+    assert pose["mse"] < 1e-9  # the 3D score of a scan against itself
+    assert pose["success"] is True
 
 
 def test_query_rotated_scan_recovers_heading(places, tmp_path, capsys):
@@ -93,6 +99,24 @@ def test_query_rotated_scan_recovers_heading(places, tmp_path, capsys):
     # the pose maps query points into the match frame, which is exactly the
     # viewpoint offset the query was re-observed from
     assert np.hypot(reply["pose"]["tx"] - 0.5, reply["pose"]["ty"] + 0.4) <= 0.1
+
+
+def test_query_without_stage2_reports_the_scored_planar_pose(places, tmp_path, capsys):
+    root, index, scenes = places
+    turned = synth.perturb(scenes[2], tx=0.5, ty=-0.4, yaw_deg=37.0)
+    scan = tmp_path / "000902.bin"
+    write_bin(scan, turned.xyz)
+    code = main(
+        ["query", str(scan), "--index", str(index), "--dataset", str(root),
+         "--set", "exclusion_horizon=0", "--set", "stage2=false"]
+    )
+    assert code == 0
+    pose = json.loads(capsys.readouterr().out)["pose"]
+    # the planar pose passes through: no z or tilt, stage 1's convergence
+    assert (pose["tz"], pose["roll_deg"], pose["pitch_deg"]) == (0.0, 0.0, 0.0)
+    assert abs(pose["yaw_deg"] - 37.0) <= 1.0
+    assert pose["converged"] is True
+    assert pose["success"] is True and pose["mse"] < 0.25
 
 
 def test_query_without_dataset_has_no_pose(places, capsys):
@@ -266,6 +290,8 @@ def test_eval_output_path_collision_is_an_io_error(places, tmp_path, capsys):
                      id="frame-overflow"),
         pytest.param("generic", "poses.csv", b"0,0,0,0,0\n1.5,1,0,0,0\n", "poses.csv:2",
                      id="frame-fraction"),
+        pytest.param("generic", "poses.csv", b"0,0,0,0,0\n1,0,0,0,inf\n", "poses.csv:2",
+                     id="yaw-inf"),
         pytest.param("generic", "poses.csv", b"0,0,0,0,0\n1,\xe9,0,0,0\n", "poses.csv:2",
                      id="poses-csv-not-utf8"),
         pytest.param("generic", "000001.txt", b"1 2 3\n4 5 \xff\n", "000001.txt:2",

@@ -6,7 +6,7 @@ import struct
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fresco.cloud import FormatError, PointCloud, load_ascii_cloud, load_kitti_bin
@@ -245,6 +245,9 @@ def _parse_text(loader, path, raw: bytes):
         st.lists(st.lists(_TOKENS, max_size=14), max_size=12).map(lambda r: _text(r, ",")),
     )
 )
+# an infinite yaw, which must be refused before it reaches the rotation matrix
+@example(raw=b"0.0 0.0 0.0 0.0 inf\n")
+@example(raw=b"frame,x,y,z,yaw_deg\n3,1.0,2.0,0.0,-inf\n")
 def test_text_parsers_survive_random_input(scratch, loader, raw):
     got = _parse_text(loader, scratch.with_suffix(".txt"), raw)
     if isinstance(got, list):  # a pose file: finite, in strictly increasing id order

@@ -1,21 +1,25 @@
 """Planar alignment, its 180-degree disambiguation, and the 3D refinement."""
 
-from dataclasses import astuple
+from contextlib import nullcontext
+from dataclasses import astuple, replace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
+from scipy.spatial import cKDTree
 
 from fresco import pose as pose_mod
 from fresco import synth
 from fresco.cloud import PointCloud
+from fresco.config import Config
+from fresco.pipeline import compact_2d, planar_pose, preprocess, relative_pose
 from fresco.pose import (
+    STAGE2_SUCCESS_MSE,
     Compact2dCloud,
     InsufficientStructureError,
     Se2Pose,
-    alignment_mse_3d,
     estimate_pose_stage1,
     extract_compact_2d,
     matrix_to_se3,
@@ -36,6 +40,18 @@ def _scene(seed, **kw):
 
 def _compact(cloud) -> Compact2dCloud:
     return extract_compact_2d(cloud)
+
+
+def _alignment_mse_3d(query, candidate, matrix, voxel_m=0.4, gate_m=0.5):
+    """The former ``pose.alignment_mse_3d``, kept as the oracle: mean squared
+    nearest-neighbor distance between the voxel centroids under ``matrix``,
+    over correspondences within ``gate_m``; inf when none are."""
+    a = pose_mod._voxel_centroids(query.xyz, voxel_m)
+    b = pose_mod._voxel_centroids(candidate.xyz, voxel_m)
+    if a.shape[0] == 0 or b.shape[0] == 0:
+        return np.inf
+    dist, _ = pose_mod._query_within(cKDTree(b), a @ matrix[:3, :3].T + matrix[:3, 3], gate_m)
+    return pose_mod._gated_mse(dist, gate_m)
 
 
 def _moved_copy(c: Compact2dCloud, tx, ty, yaw) -> Compact2dCloud:
@@ -215,9 +231,9 @@ def test_refine_improves_a_perturbed_seed():
     yaw = np.radians(30.0)
     moved = PointCloud(xyz=transform_3d(cloud.xyz, 1.0, 0.5, yaw))
     seed = Se2Pose(1.3, 0.2, yaw + np.radians(5.0))
-    before = alignment_mse_3d(cloud, moved, se2_to_matrix(seed), gate_m=2.0)
+    before = _alignment_mse_3d(cloud, moved, se2_to_matrix(seed), gate_m=2.0)
     est = refine_pose_3d(cloud, moved, seed)
-    after = alignment_mse_3d(cloud, moved, se3_to_matrix_4x4(est), gate_m=2.0)
+    after = _alignment_mse_3d(cloud, moved, se3_to_matrix_4x4(est), gate_m=2.0)
     assert after <= before
 
 
@@ -233,12 +249,14 @@ def se3_to_matrix_4x4(pose):
     return m
 
 
-def test_alignment_mse_obeys_the_gate():
+def test_refine_seed_mse_obeys_the_gate():
     cloud = _scene(60)
+    gate = {"max_iters": 0, "gate_start_m": 0.5, "gate_end_m": 0.5}
     # misaligned by more than the gate: nothing matches, mse is inf
-    m = se2_to_matrix(Se2Pose(50.0, 50.0, 0.0))
-    assert alignment_mse_3d(cloud, cloud, m, gate_m=0.5) == np.inf
-    assert alignment_mse_3d(cloud, cloud, np.eye(4)) == pytest.approx(0.0, abs=1e-12)
+    assert refine_pose_3d(cloud, cloud, Se2Pose(50.0, 50.0, 0.0), **gate).mse == np.inf
+    assert refine_pose_3d(cloud, cloud, Se2Pose(0.0, 0.0, 0.0), **gate).mse == pytest.approx(
+        0.0, abs=1e-12
+    )
 
 
 def _voxel_centroids_by_row_unique(pts, voxel):
@@ -322,13 +340,13 @@ def test_pose_layer_equals_the_row_unique_voxel_grid(case, monkeypatch):
     init = _SEEDS[case]
     shipped = (
         astuple(refine_pose_3d(query, cand, init)),
-        alignment_mse_3d(query, cand, se2_to_matrix(init)),
+        astuple(refine_pose_3d(query, cand, init, max_iters=0)),
         extract_compact_2d(query),
     )
     monkeypatch.setattr(pose_mod, "_voxel_centroids", _voxel_centroids_by_row_unique)
     oracle = (
         astuple(refine_pose_3d(query, cand, init)),
-        alignment_mse_3d(query, cand, se2_to_matrix(init)),
+        astuple(refine_pose_3d(query, cand, init, max_iters=0)),
         extract_compact_2d(query),
     )
     assert shipped[0] == oracle[0]
@@ -344,8 +362,62 @@ def test_refine_pass_through_reports_the_seed_alignment_mse(seed):
     init = _SEEDS["pass-through"]
     est = refine_pose_3d(query, cand, init, voxel_m=0.4)
     assert not est.converged
-    assert est.mse == alignment_mse_3d(query, cand, se2_to_matrix(init), 0.4)
+    assert est.mse == _alignment_mse_3d(query, cand, se2_to_matrix(init), 0.4)
     assert (est.tx, est.ty) == (init.tx, init.ty)
+
+
+def _preprocessed_revisit(seed):
+    """A revisit pair through ``preprocess`` and the shift the descriptor would
+    report for its 30 degree turn (3 degrees per column at 120 bins)."""
+    cfg = Config()
+    query, cand = _revisit_pair(seed)
+    return preprocess(query, cfg), preprocess(cand, cfg), 10, cfg
+
+
+@pytest.mark.parametrize("seed", [72, 73])
+def test_relative_pose_with_stage2_is_the_refined_planar_pose(seed):
+    q, c, k, cfg = _preprocessed_revisit(seed)
+    planar = planar_pose(compact_2d(q, cfg), compact_2d(c, cfg), k, cfg)
+    want = refine_pose_3d(q, c, planar, cfg.voxel_m)
+    assert astuple(relative_pose(q, c, k, cfg)) == astuple(want)
+
+
+@pytest.mark.parametrize("seed", [72, 73])
+def test_relative_pose_without_stage2_scores_the_planar_pose(seed):
+    q, c, k, cfg = _preprocessed_revisit(seed)
+    cfg = replace(cfg, stage2=False)
+    # the former inline build: the planar pose with its 3D score and stage 1's flag
+    planar = planar_pose(compact_2d(q, cfg), compact_2d(c, cfg), k, cfg)
+    mse = _alignment_mse_3d(q, c, se2_to_matrix(planar), cfg.voxel_m)
+    want = matrix_to_se3(
+        se2_to_matrix(planar),
+        mse=mse,
+        converged=planar.converged,
+        success=bool(mse < STAGE2_SUCCESS_MSE),
+    )
+    got = relative_pose(q, c, k, cfg)
+    assert astuple(got) == astuple(want)
+    assert (got.tz, got.roll, got.pitch) == (0.0, 0.0, 0.0)
+
+
+@pytest.mark.parametrize("stage2", [True, False])
+def test_relative_pose_times_each_stage_that_runs(stage2):
+    q, c, k, cfg = _preprocessed_revisit(72)
+    entered = []
+
+    def phase(name):
+        entered.append(name)
+        return nullcontext()
+
+    relative_pose(q, c, k, replace(cfg, stage2=stage2), phase)
+    assert entered == (["stage1", "stage2"] if stage2 else ["stage1"])
+
+
+def test_relative_pose_propagates_insufficient_structure():
+    q, _, k, cfg = _preprocessed_revisit(72)
+    sparse = PointCloud(xyz=np.random.default_rng(0).uniform(0.0, 1.0, (5, 3)))
+    with pytest.raises(InsufficientStructureError):
+        relative_pose(q, sparse, k, cfg)
 
 
 # dyadic coordinates, one point per voxel: every distance below is exact
@@ -353,19 +425,14 @@ _GRID = np.array([[4.0 * i, 4.0 * j, 0.25 * (i + j)] for i in range(4) for j in 
 _AT_GATE = np.array([0.5, 0.0, 0.0])  # exactly the 0.5 m gate away
 
 
-def test_alignment_mse_counts_a_neighbor_exactly_at_the_gate():
-    query, cand = PointCloud(_GRID), PointCloud(_GRID + _AT_GATE)
-    assert alignment_mse_3d(query, cand, np.eye(4), gate_m=0.5) == 0.25
-    assert alignment_mse_3d(query, cand, np.eye(4), gate_m=0.4999) == np.inf
-
-
 def test_refine_seed_mse_counts_a_neighbor_exactly_at_the_gate():
     query, cand = PointCloud(_GRID), PointCloud(_GRID + _AT_GATE)
     init = Se2Pose(0.0, 0.0, 0.0)
     # no iterations: the seed passes through with the seed query's mse
-    est = refine_pose_3d(query, cand, init, max_iters=0, gate_start_m=0.5, gate_end_m=0.5)
-    assert est.mse == 0.25
-    assert not est.converged
+    for gate, want in ((0.5, 0.25), (0.4999, np.inf)):
+        est = refine_pose_3d(query, cand, init, max_iters=0, gate_start_m=gate, gate_end_m=gate)
+        assert est.mse == want
+        assert not est.converged
 
 
 def test_nicp_final_mse_counts_a_neighbor_exactly_at_the_gate():
