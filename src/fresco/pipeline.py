@@ -4,7 +4,7 @@ This is the one module that turns ``Config`` fields into layer calls:
 ``preprocess`` (crop and ground removal), ``describe`` (BEV, log spectrum,
 polar descriptor), ``compact_2d`` (planar registration input),
 ``planar_pose`` (two-branch planar NICP, keeping the branch with the lower
-residual) and ``relative_pose`` (both stages).  The CLI and the evaluation
+truncated score, see ``fresco.pose``) and ``relative_pose`` (both stages).  The CLI and the evaluation
 harness call these instead of unpacking the config themselves.
 """
 

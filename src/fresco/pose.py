@@ -2,7 +2,11 @@
 rotation estimate, then optional point-to-point 3D refinement.
 
 The descriptor shift fixes yaw only modulo 180 degrees, so stage 1 runs the
-planar alignment from both seeds and keeps the branch with lower residual.
+planar alignment from both seeds and keeps the branch with the lower
+truncated score: the mean over all query points of the squared distance to
+the nearest candidate point, each capped at the final gate.  Unlike the
+gated mse, it charges a branch for every point it leaves unexplained, so an
+alias that fits few points closely does not win.
 """
 
 from __future__ import annotations
@@ -49,6 +53,7 @@ class Se2Pose:
     ty: float
     yaw: float  # radians, wrapped to (-pi, pi]
     mse: float = np.inf
+    score: float = np.inf  # mean of min(d, final gate)^2 over all source points
     converged: bool = False
     branch: int | None = None
     # (objective before step, after step) per applied iteration, for audits
@@ -251,8 +256,10 @@ def nicp_2d(
     does not increase, so the recorded objective never rises within a step.
     Convergence means the pose update fell below ``tol_t`` / ``tol_yaw``.
     The reported mse is the mean squared distance over correspondences
-    gated at ``gate_end_m`` at the final pose (inf when none survive).
-    Nothing beyond the current gate is searched for a correspondence.
+    gated at ``gate_end_m`` at the final pose (inf when none survive); the
+    score is the mean over all source points of the squared distance
+    capped at ``gate_end_m``.  Nothing beyond the current gate is searched
+    for a correspondence.
     """
     if src.points.shape[0] < 10 or dst.points.shape[0] < 10:
         raise InsufficientStructureError("both clouds need at least 10 points")
@@ -296,7 +303,8 @@ def nicp_2d(
             break
     dist, _ = _query_within(tree, transform_xy(src.points, tx, ty, yaw), gate_end_m)
     mse = _gated_mse(dist, gate_end_m)
-    return Se2Pose(float(tx), float(ty), wrap_angle(yaw), mse, converged, trace=trace)
+    score = float((np.minimum(dist, gate_end_m) ** 2).mean())
+    return Se2Pose(float(tx), float(ty), wrap_angle(yaw), mse, score, converged, trace=trace)
 
 
 def estimate_pose_stage1(
@@ -306,16 +314,16 @@ def estimate_pose_stage1(
     angular_bins: int,
     **nicp_kw,
 ) -> Se2Pose:
-    """Run planar alignment from both yaw seeds and keep the lower-mse branch.
+    """Run planar alignment from both yaw seeds and keep the lower-score branch.
 
     Seeds are the descriptor rotation estimate and that estimate plus 180
-    degrees; the returned pose maps query-frame points into the candidate
-    frame and carries the chosen branch (0 or 1).
+    degrees; a tie keeps the first.  The returned pose maps query-frame
+    points into the candidate frame and carries the chosen branch (0 or 1).
     """
     base = np.radians(shift_to_rotation(best_shift, angular_bins))
     first = nicp_2d(query, candidate, base, **nicp_kw)
     second = nicp_2d(query, candidate, base + np.pi, **nicp_kw)
-    if second.mse < first.mse:
+    if second.score < first.score:
         second.branch = 1
         return second
     first.branch = 0

@@ -11,10 +11,11 @@ from hypothesis.extra.numpy import arrays
 from scipy.spatial import cKDTree
 
 from fresco import pose as pose_mod
-from fresco import synth
+from fresco import properties, synth
 from fresco.cloud import PointCloud
 from fresco.config import Config
-from fresco.pipeline import compact_2d, planar_pose, preprocess, relative_pose
+from fresco.matching import best_shift_l1
+from fresco.pipeline import compact_2d, describe, planar_pose, preprocess, relative_pose
 from fresco.pose import (
     STAGE2_SUCCESS_MSE,
     Compact2dCloud,
@@ -191,6 +192,34 @@ def test_stage1_resolves_180_ambiguity():
     assert abs(wrap_angle(pose.yaw - yaw)) < np.radians(1.0)
     assert np.hypot(pose.tx - 2.0, pose.ty - 1.0) < 0.1
     assert pose.branch in (0, 1)
+
+
+def test_stage1_picks_the_branch_by_truncated_score_not_gated_mse():
+    # a revisit whose 180-degree alias fits fewer points more closely: by
+    # gated mse the alias (ty -7.86, yaw -89.6 degrees) would win
+    cfg = Config()
+    scene = synth.generate(synth.SceneSpec(151, pillars=22, walls=9, rings=1, range_limit=30.0))
+    moved = synth.perturb(scene, tx=0.49, ty=1.96, yaw_deg=77.5)
+    k = best_shift_l1(describe(moved, cfg), describe(scene, cfg)).best_shift
+    q, c = compact_2d(preprocess(moved, cfg), cfg), compact_2d(preprocess(scene, cfg), cfg)
+    base = np.radians(shift_to_rotation(k, cfg.angular_bins))
+    true, alias = (nicp_2d(q, c, base + b * np.pi) for b in (0, 1))
+    assert alias.mse < true.mse and true.score < alias.score
+    est = planar_pose(q, c, k, cfg)
+    assert est.branch == 0
+    assert astuple(est)[:6] == astuple(true)[:6]
+    assert properties.pose_recovered(est, 0.49, 1.96, 77.5)
+
+
+def test_nicp_score_caps_each_source_point_at_the_final_gate():
+    pts = _GRID[:, :2]
+    normals = np.tile([1.0, 0.0], (len(pts), 1))
+    src = Compact2dCloud(pts, normals)
+    # half the points 0.25 m from a counterpart, the rest beyond any gate
+    dst = Compact2dCloud(np.vstack([pts[:6] + [0.25, 0.0], pts[6:] + [0.0, 100.0]]), normals)
+    est = nicp_2d(src, dst, 0.0, max_iters=0, gate_start_m=0.5, gate_end_m=0.5)
+    assert est.mse == 0.0625
+    assert est.score == (6 * 0.0625 + 6 * 0.25) / 12
 
 
 def test_refine_identity():
