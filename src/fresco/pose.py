@@ -385,13 +385,10 @@ def refine_pose_3d(
         if np.linalg.norm(tvec) < 1e-3 and angle < 1e-4:
             converged = True
             break
-    mse = init_mse
     if converged:
         dist, _ = _query_within(tree, a @ t[:3, :3].T + t[:3, 3], gate_end_m)
-        final_mse = _gated_mse(dist, gate_end_m)
-        converged = final_mse <= init_mse
-        if converged:
-            mse = final_mse
+        mse = _gated_mse(dist, gate_end_m)
+        converged = mse <= init_mse
     if not converged:
-        t = se2_to_matrix(init)
+        t, mse = se2_to_matrix(init), init_mse
     return matrix_to_se3(t, mse=mse, converged=converged, success=bool(mse < STAGE2_SUCCESS_MSE))
