@@ -454,14 +454,22 @@ _GRID = np.array([[4.0 * i, 4.0 * j, 0.25 * (i + j)] for i in range(4) for j in 
 _AT_GATE = np.array([0.5, 0.0, 0.0])  # exactly the 0.5 m gate away
 
 
+def test_alignment_mse_counts_a_neighbor_exactly_at_the_gate():
+    # the 3D alignment score of a fixed pose is the zero-iteration refine's mse
+    query, cand = PointCloud(_GRID), PointCloud(_GRID + _AT_GATE)
+    init = Se2Pose(0.0, 0.0, 0.0)
+    for gate, want in ((0.5, 0.25), (0.4999, np.inf)):
+        est = refine_pose_3d(query, cand, init, max_iters=0, gate_start_m=gate, gate_end_m=gate)
+        assert est.mse == want
+
+
 def test_refine_seed_mse_counts_a_neighbor_exactly_at_the_gate():
     query, cand = PointCloud(_GRID), PointCloud(_GRID + _AT_GATE)
     init = Se2Pose(0.0, 0.0, 0.0)
     # no iterations: the seed passes through with the seed query's mse
-    for gate, want in ((0.5, 0.25), (0.4999, np.inf)):
-        est = refine_pose_3d(query, cand, init, max_iters=0, gate_start_m=gate, gate_end_m=gate)
-        assert est.mse == want
-        assert not est.converged
+    est = refine_pose_3d(query, cand, init, max_iters=0, gate_start_m=0.5, gate_end_m=0.5)
+    assert est.mse == 0.25
+    assert not est.converged
 
 
 def test_nicp_final_mse_counts_a_neighbor_exactly_at_the_gate():
