@@ -342,7 +342,8 @@ def refine_pose_3d(
     """Point-to-point 3D refinement of a planar pose.
 
     Seeds z, roll, and pitch at zero.  If the iteration fails to converge or
-    would end with a higher mse than the seed pose, the seed is passed
+    would end with a higher mse than the seed pose (beyond 1e-12 m² of
+    rounding), the seed is passed
     through unchanged with ``converged=False``; ``max_iters=0`` therefore
     scores the seed.  The mse is the mean squared distance between the two
     clouds' voxel centroids over correspondences gated at ``gate_end_m``
@@ -388,7 +389,8 @@ def refine_pose_3d(
     if converged:
         dist, _ = _query_within(tree, a @ t[:3, :3].T + t[:3, 3], gate_end_m)
         mse = _gated_mse(dist, gate_end_m)
-        converged = mse <= init_mse
+        # an exact seed (mse 0) refines to rounding noise, not to a worse pose
+        converged = mse <= init_mse + 1e-12
     if not converged:
         t, mse = se2_to_matrix(init), init_mse
     return matrix_to_se3(t, mse=mse, converged=converged, success=bool(mse < STAGE2_SUCCESS_MSE))

@@ -78,6 +78,7 @@ def test_query_self_is_a_perfect_match(places, capsys):
     assert abs(pose["yaw_deg"]) < 0.5
     assert abs(pose["roll_deg"]) < 0.5 and abs(pose["pitch_deg"]) < 0.5
     assert pose["mse"] < 1e-9  # the 3D score of a scan against itself
+    assert pose["converged"] is True
     assert pose["success"] is True
 
 
