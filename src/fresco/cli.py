@@ -25,7 +25,7 @@ from .config import (
     validate,
 )
 from .datasets import load_dataset, load_scan
-from .evaluate import json_safe, run_evaluation
+from .evaluate import json_safe, pose_fields, run_evaluation
 from .index import DegenerateDescriptorError, KeyframeIndex, make_key
 from .pipeline import describe, preprocess, relative_pose
 from .pose import InsufficientStructureError
@@ -131,17 +131,7 @@ def cmd_query(args, cfg: Config) -> int:
         if res.candidate_id in dataset.scans:
             candidate = preprocess(load_scan(dataset.scans[res.candidate_id]), cfg)
             est = relative_pose(preprocess(cloud, cfg), candidate, res.best_shift, cfg)
-            pose = {
-                "tx": est.tx,
-                "ty": est.ty,
-                "tz": est.tz,
-                "roll_deg": float(np.degrees(est.roll)),
-                "pitch_deg": float(np.degrees(est.pitch)),
-                "yaw_deg": float(np.degrees(est.yaw)),
-                "mse": est.mse,
-                "converged": est.converged,
-                "success": est.success,
-            }
+            pose = pose_fields(est)
     out = {
         "match": res.candidate_id if res.accepted else None,
         "d_l1": res.d_l1,

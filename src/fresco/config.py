@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -43,13 +44,15 @@ class Config:
 
 
 _FIELDS = {f.name: f for f in dataclasses.fields(Config)}
+_LENGTHS_M = ("window_m", "ground_cell_m", "ground_margin_m", "coarse_grid_m", "voxel_m",
+              "nicp_gate_start_m")  # finite; the thresholds may be inf, meaning no gate
 
 
 def validate(cfg: Config) -> Config:
     """Range-check every field; raises ConfigError naming the offender."""
     checks = [
         ("version", cfg.version == 1, "must be 1"),
-        ("window_m", cfg.window_m > 0, "must be positive"),
+        *((f, 0 < getattr(cfg, f) < math.inf, "must be positive and finite") for f in _LENGTHS_M),
         ("grid_size", cfg.grid_size >= 8, "must be at least 8"),
         ("crop_size", 2 <= cfg.crop_size <= cfg.grid_size, "must lie in [2, grid_size]"),
         ("crop_size", cfg.crop_size % 2 == 0, "must be even"),
@@ -62,15 +65,10 @@ def validate(cfg: Config) -> Config:
         ("exclusion_horizon", cfg.exclusion_horizon >= 0, "must be >= 0"),
         ("keyframe_spacing_m", cfg.keyframe_spacing_m > 0, "must be positive"),
         ("tp_radius_m", cfg.tp_radius_m > 0, "must be positive"),
-        ("ground_cell_m", cfg.ground_cell_m > 0, "must be positive"),
-        ("ground_margin_m", cfg.ground_margin_m > 0, "must be positive"),
-        ("coarse_grid_m", cfg.coarse_grid_m > 0, "must be positive"),
         ("cell_cap", cfg.cell_cap >= 1, "must be positive"),
-        ("voxel_m", cfg.voxel_m > 0, "must be positive"),
         ("normal_neighbors", cfg.normal_neighbors >= 2, "must be at least 2"),
         ("max_flatness_ratio", 0 < cfg.max_flatness_ratio <= 1, "must lie in (0, 1]"),
         ("nicp_max_iters", cfg.nicp_max_iters >= 1, "must be positive"),
-        ("nicp_gate_start_m", cfg.nicp_gate_start_m > 0, "must be positive"),
         ("nicp_gate_end_m", 0 < cfg.nicp_gate_end_m <= cfg.nicp_gate_start_m,
          "must be positive and <= nicp_gate_start_m"),
     ]

@@ -63,10 +63,10 @@ class Dataset:
 
 
 def load_scan(path) -> PointCloud:
-    """Read one scan file, dispatching on suffix; stem becomes the frame id."""
+    """Read one scan file, dispatching on suffix in any case; stem becomes the frame id."""
     path = Path(path)
     stem_id = _stem_id(path) or 0
-    if path.suffix == ".bin":
+    if path.suffix.lower() == ".bin":
         return load_kitti_bin(path, frame_id=stem_id)
     return load_ascii_cloud(path, frame_id=stem_id)
 

@@ -10,7 +10,6 @@ curve plus the operating point of the configured thresholds.
 
 from __future__ import annotations
 
-import functools
 import json
 import time
 from contextlib import contextmanager
@@ -24,7 +23,8 @@ from .config import Config, thread_map, to_dict
 from .datasets import Dataset, TrajectoryPose, load_scan
 from .index import DegenerateDescriptorError, KeyframeIndex
 from .pipeline import describe, preprocess, relative_pose
-from .pose import InsufficientStructureError, Se3Pose, wrap_angle
+from .pose import InsufficientStructureError, Se3Pose
+from .properties import pose_error
 
 
 def sample_keyframes(poses: list[TrajectoryPose], spacing_m: float) -> list[int]:
@@ -161,33 +161,34 @@ class PoseStats:
 def pose_metrics(estimates: list[Se3Pose], gt_matrices: list[np.ndarray]) -> PoseStats:
     """Relative translation / rotation errors against ground-truth pairs.
 
-    RTE is the planar norm of the translation error, RRE the absolute yaw
-    error in degrees.  Success follows each estimate's own flag (final 3D
-    alignment error under the documented bound).  Estimates with non-finite
-    components are excluded from the error means but still count against
-    the success rate.
+    RTE and RRE are ``properties.pose_error``'s.  Success follows each
+    estimate's own flag (final 3D alignment error under the documented
+    bound).  NaN estimates are excluded from the error means, which are NaN
+    when nothing is left, but still count against the success rate.
     """
     if not estimates:
         raise ValueError("pose_metrics needs at least one estimate")
     if len(estimates) != len(gt_matrices):
         raise ValueError("estimates and ground truth differ in length")
-    rte, rre, success = [], [], []
-    for est, m in zip(estimates, gt_matrices):
-        gt_yaw = float(np.arctan2(m[1, 0], m[0, 0]))
-        rte.append(float(np.hypot(est.tx - m[0, 3], est.ty - m[1, 3])))
-        rre.append(abs(float(np.degrees(wrap_angle(est.yaw - gt_yaw)))))
-        success.append(bool(est.success))
-    rte_arr = np.array(rte)
-    rre_arr = np.array(rre)
+    errors = [
+        pose_error(est, m[0, 3], m[1, 3], float(np.arctan2(m[1, 0], m[0, 0])))
+        for est, m in zip(estimates, gt_matrices)
+    ]
+    (rte_mean, rte_std), (rre_mean, rre_std) = (_nan_mean_std(e) for e in zip(*errors))
+    return PoseStats(
+        rte_mean, rte_std, rre_mean, rre_std,
+        success_rate=float(np.mean([bool(est.success) for est in estimates])),
+        count=len(estimates),
+    )
+
+
+def _nan_mean_std(values) -> tuple[float, float]:
+    """Mean and standard deviation ignoring NaN; both NaN when nothing is left."""
+    arr = np.array(values)
+    if np.isnan(arr).all():
+        return np.nan, np.nan
     with np.errstate(invalid="ignore"):
-        return PoseStats(
-            rte_mean=float(np.nanmean(rte_arr)),
-            rte_std=float(np.nanstd(rte_arr)),
-            rre_mean=float(np.nanmean(rre_arr)),
-            rre_std=float(np.nanstd(rre_arr)),
-            success_rate=float(np.mean(success)),
-            count=len(estimates),
-        )
+        return float(np.nanmean(arr)), float(np.nanstd(arr))
 
 
 class PhaseTimer:
@@ -264,6 +265,18 @@ def _fmt(v) -> str:
     return repr(float(v))
 
 
+POSE_FIELDS = (
+    "tx", "ty", "tz", "roll_deg", "pitch_deg", "yaw_deg", "mse", "converged", "success"
+)
+
+
+def pose_fields(est: Se3Pose) -> dict:
+    """``fresco query``'s ``pose`` object, and in order a ``poses.csv`` row's pose columns."""
+    angles = [np.degrees(a) for a in (est.roll, est.pitch, est.yaw)]
+    values = [float(v) for v in (est.tx, est.ty, est.tz, *angles, est.mse)]
+    return dict(zip(POSE_FIELDS, values + [bool(est.converged), bool(est.success)]))
+
+
 def json_safe(obj):
     """Copy of ``obj`` that ``json.dumps`` accepts; non-finite floats become None."""
     if isinstance(obj, dict):
@@ -319,10 +332,6 @@ def run_evaluation(
 
     kf_pos = np.array([positions[fid] for fid in kf]) if kf else np.zeros((0, 3))
 
-    @functools.lru_cache(maxsize=16)
-    def cloud_of(fid: int):
-        return preprocess(load_scan(dataset.scans[fid]), cfg)
-
     idx = KeyframeIndex(exclusion_horizon=cfg.exclusion_horizon)
     records: list[QueryRecord] = []
     match_rows: list[str] = []
@@ -363,15 +372,12 @@ def run_evaluation(
             continue
         cand = res.candidate_id
         try:
-            est3 = relative_pose(cloud_of(fid), cloud_of(cand), res.best_shift, cfg, timer.phase)
+            query, candidate = (preprocess(load_scan(dataset.scans[f]), cfg) for f in (fid, cand))
+            est3 = relative_pose(query, candidate, res.best_shift, cfg, timer.phase)
         except InsufficientStructureError:
             est3 = Se3Pose(np.nan, np.nan, np.nan, np.nan, np.nan, np.nan)
-        pose_rows.append(
-            f"{fid},{cand},{_fmt(est3.tx)},{_fmt(est3.ty)},{_fmt(est3.tz)},"
-            f"{_fmt(np.degrees(est3.roll))},{_fmt(np.degrees(est3.pitch))},"
-            f"{_fmt(np.degrees(est3.yaw))},{_fmt(est3.mse)},"
-            f"{int(est3.converged)},{int(est3.success)}"
-        )
+        cells = [int(v) if isinstance(v, bool) else _fmt(v) for v in pose_fields(est3).values()]
+        pose_rows.append(",".join(map(str, [fid, cand, *cells])))
         seg = (kf_pos[pos][ax], positions[cand][ax])
         if label == "TP":
             gt_rel = np.linalg.inv(matrices[cand]) @ matrices[fid]
@@ -397,7 +403,7 @@ def run_evaluation(
         "query,match,d_l1,d_r,shift,label\n" + "".join(r + "\n" for r in match_rows)
     )
     (out_dir / "poses.csv").write_text(
-        "query,match,tx,ty,tz,roll_deg,pitch_deg,yaw_deg,mse,converged,success\n"
+        ",".join(["query", "match", *POSE_FIELDS]) + "\n"
         + "".join(r + "\n" for r in pose_rows)
     )
     if svg:

@@ -47,10 +47,15 @@ def rotation_recovered(turned: np.ndarray, desc: np.ndarray, yaw_deg: float) -> 
     return abs(err) <= ROTATION_TOL_DEG
 
 
+def pose_error(est: Se2Pose | Se3Pose, tx: float, ty: float, yaw_rad: float) -> tuple[float, float]:
+    """An estimate's planar translation error (m) and wrapped absolute yaw error (degrees)."""
+    rte_m = float(np.hypot(est.tx - tx, est.ty - ty))
+    return rte_m, abs(float(np.degrees(wrap_angle(est.yaw - yaw_rad))))
+
+
 def pose_recovered(est: Se2Pose | Se3Pose, tx: float, ty: float, yaw_deg: float) -> bool:
     """Whether an estimate's planar part lies within POSE_TOL_M and POSE_TOL_DEG of the truth."""
-    err_t = float(np.hypot(est.tx - tx, est.ty - ty))
-    err_r = abs(float(np.degrees(wrap_angle(est.yaw - np.radians(yaw_deg)))))
+    err_t, err_r = pose_error(est, tx, ty, np.radians(yaw_deg))
     return err_t <= POSE_TOL_M and err_r <= POSE_TOL_DEG
 
 

@@ -188,6 +188,16 @@ def test_config_error_names_the_field(tmp_path, capsys):
     assert "angular_bins" in capsys.readouterr().err
 
 
+def test_non_finite_geometry_is_a_config_error(places, tmp_path, capsys):
+    root, _, _ = places
+    code = main(["build", "--dataset", str(root), "--out", str(tmp_path / "x.frix"),
+                 "--set", "window_m=inf"])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert "window_m must be positive and finite" in err and "Traceback" not in err
+    assert not (tmp_path / "x.frix").exists()
+
+
 def test_set_overrides_config_file(tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
     cfg.write_text('{"version": 1, "angular_bins": 122}')

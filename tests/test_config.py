@@ -39,6 +39,23 @@ def test_validation_names_the_field():
         from_dict({"version": 3})
 
 
+@pytest.mark.parametrize(
+    "field",
+    ["window_m", "ground_cell_m", "ground_margin_m", "coarse_grid_m", "voxel_m",
+     "nicp_gate_start_m", "nicp_gate_end_m"],
+)
+def test_geometry_fields_must_be_finite(field):
+    with pytest.raises(ConfigError, match=rf"^{field} .*\(got inf\)"):
+        from_dict({"version": 1, field: "inf"})
+
+
+def test_thresholds_and_spacings_accept_inf():
+    # pr_sweep reads an infinite cosine threshold as "no cosine gate"
+    fields = ("l1_threshold", "cosine_threshold", "keyframe_spacing_m", "tp_radius_m")
+    cfg = from_dict({"version": 1, **{f: "inf" for f in fields}})
+    assert all(getattr(cfg, f) == float("inf") for f in fields)
+
+
 def test_string_coercion():
     cfg = from_dict({"version": "1", "angular_bins": "60", "l1_threshold": "0.5",
                      "stage2": "off"})

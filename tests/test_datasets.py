@@ -175,6 +175,18 @@ def test_kitti_dataset_layout(tmp_path):
     assert len(ds.poses) == 3
 
 
+@pytest.mark.parametrize("fmt", ["generic", "kitti"])
+def test_upper_case_bin_scans_are_read_as_binary(tmp_path, fmt):
+    scan_dir = tmp_path / "velodyne" if fmt == "kitti" else tmp_path
+    scan_dir.mkdir(exist_ok=True)
+    write_bin(scan_dir / "000001.BIN", np.array([[1.0, 2.0, 3.0]]))
+    ds = load_dataset(tmp_path, fmt)
+    assert list(ds.scans) == [1]
+    cloud = load_scan(ds.scans[1])
+    assert cloud.frame_id == 1
+    np.testing.assert_allclose(cloud.xyz, [[1, 2, 3]])
+
+
 def test_kitti_dataset_requires_velodyne_dir(tmp_path):
     with pytest.raises(FormatError, match="velodyne"):
         load_dataset(tmp_path, "kitti")

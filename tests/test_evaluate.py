@@ -10,9 +10,11 @@ import pytest
 
 from fresco.datasets import TrajectoryPose
 from fresco.evaluate import (
+    POSE_FIELDS,
     PhaseTimer,
     QueryRecord,
     label_match,
+    pose_fields,
     pose_metrics,
     pr_sweep,
     runtime_report,
@@ -209,6 +211,11 @@ def test_pose_metrics_excludes_nan_from_means_only():
     stats = pose_metrics(ests, gts)
     assert stats.rte_mean == pytest.approx(0.0, abs=1e-12)
     assert stats.success_rate == 0.5
+    # every estimate non-finite, as when each TP pose lacked structure: NaN
+    # means and stds, and no "Mean of empty slice" warning
+    stats = pose_metrics(ests[1:], gts[1:])
+    assert np.isnan([stats.rte_mean, stats.rte_std, stats.rre_mean, stats.rre_std]).all()
+    assert stats.success_rate == 0.0 and stats.count == 1
 
 
 def test_pose_metrics_input_validation():
@@ -270,6 +277,20 @@ def test_run_evaluation_artifacts(trip_report):
     runtime = report["runtime_ms"]
     assert "descriptor" in runtime and "retrieval" in runtime and "stage1" in runtime
     assert report["pose"]["count"] > 0
+
+
+def test_pose_fields_are_the_poses_csv_columns(trip_report):
+    _, out, _ = trip_report
+    header = (out / "poses.csv").read_text().splitlines()[0]
+    assert header == "query,match,tx,ty,tz,roll_deg,pitch_deg,yaw_deg,mse,converged,success"
+    est = Se3Pose(1.0, -2.0, 0.5, np.radians(3.0), np.radians(-4.0), np.radians(90.0),
+                  mse=0.01, converged=True)
+    fields = pose_fields(est)
+    assert tuple(fields) == POSE_FIELDS
+    assert (fields["tx"], fields["ty"], fields["tz"], fields["mse"]) == (1.0, -2.0, 0.5, 0.01)
+    assert fields["roll_deg"] == pytest.approx(3.0) and fields["pitch_deg"] == pytest.approx(-4.0)
+    assert fields["yaw_deg"] == pytest.approx(90.0)
+    assert fields["converged"] is True and fields["success"] is False
 
 
 def test_run_evaluation_is_deterministic(trip_dataset, trip_report, tmp_path):

@@ -80,6 +80,13 @@ def test_pose_check_rejects_an_estimate_off_by_a_metre():
     assert not properties.pose_recovered(est, 1.2, -0.4, 357.0)
 
 
+def test_pose_error_is_planar_norm_and_wrapped_yaw_in_degrees():
+    est = Se2Pose(tx=1.0, ty=2.0, yaw=np.radians(179.0))
+    rte, rre = properties.pose_error(est, 4.0, -2.0, np.radians(-179.0))
+    assert rte == 5.0
+    assert abs(rre - 2.0) < 1e-9
+
+
 def _retrieved(descs, query, k):
     idx = KeyframeIndex(exclusion_horizon=0)
     for i, d in enumerate(descs):
