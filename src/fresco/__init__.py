@@ -50,7 +50,15 @@ from .matching import (
     row_cosine,
     shift_l1_table,
 )
-from .pipeline import compact_2d, describe, planar_pose, preprocess, relative_pose, stage1_pose
+from .pipeline import (
+    compact_2d,
+    describe,
+    describe_preprocessed,
+    planar_pose,
+    preprocess,
+    relative_pose,
+    stage1_pose,
+)
 from .pose import (
     Compact2dCloud,
     InsufficientStructureError,

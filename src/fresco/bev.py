@@ -29,13 +29,13 @@ def _round_half_away(v: np.ndarray) -> np.ndarray:
 
 
 def _bin_indices(x, y, window_m: float, grid_size: int):
+    # callers pass in-window points, whose bin coordinates are >= 0, where
+    # rounding half away from zero is floor(v + 0.5)
     half = window_m / 2.0
     width = window_m / grid_size
-    r = _round_half_away((np.asarray(x) + half) / width)
-    c = _round_half_away((np.asarray(y) + half) / width)
-    r = np.clip(r, 0, grid_size - 1).astype(np.int64)
-    c = np.clip(c, 0, grid_size - 1).astype(np.int64)
-    return r, c
+    r = np.floor((np.asarray(x) + half) / width + 0.5).astype(np.int64)
+    c = np.floor((np.asarray(y) + half) / width + 0.5).astype(np.int64)
+    return np.minimum(r, grid_size - 1), np.minimum(c, grid_size - 1)
 
 
 def bin_index(x: float, y: float, window_m: float, grid_size: int) -> tuple[int, int]:
@@ -64,10 +64,12 @@ def make_bev(cloud: PointCloud, window_m: float = 80.0, grid_size: int = 128) ->
     half = window_m / 2.0
     x, y, z = cloud.xyz.T if len(cloud) else (np.empty(0),) * 3
     keep = (np.abs(x) <= half) & (np.abs(y) <= half) & (z >= Z_MIN) & (z <= Z_MAX)
+    if not keep.all():
+        x, y, z = x[keep], y[keep], z[keep]
     data = np.zeros(grid_size * grid_size)
-    if keep.any():
-        r, c = _bin_indices(x[keep], y[keep], window_m, grid_size)
-        np.maximum.at(data, r * grid_size + c, z[keep] + HEIGHT_OFFSET)
+    if len(z):
+        r, c = _bin_indices(x, y, window_m, grid_size)
+        np.maximum.at(data, r * grid_size + c, z + HEIGHT_OFFSET)
     return BevImage(data.reshape(grid_size, grid_size), window_m, grid_size)
 
 

@@ -27,7 +27,7 @@ from .config import (
 from .datasets import load_dataset, load_scan
 from .evaluate import json_safe, pose_fields, run_evaluation
 from .index import DegenerateDescriptorError, KeyframeIndex, make_key
-from .pipeline import describe, preprocess, relative_pose
+from .pipeline import describe, describe_preprocessed, preprocess, relative_pose
 from .pose import InsufficientStructureError
 
 
@@ -122,15 +122,15 @@ def cmd_query(args, cfg: Config) -> int:
             want = getattr(cfg, field)
             if have != want:
                 raise ConfigError(f"{field} is {want}; {args.index} was built with {field}={have}")
-    cloud = load_scan(args.cloud)
-    desc = describe(cloud, cfg)
+    query = preprocess(load_scan(args.cloud), cfg)
+    desc = describe_preprocessed(query, cfg)
     res = idx.match(desc, cfg.num_candidates, cfg.l1_threshold, cfg.cosine_threshold)
     pose = None
     if res.accepted and args.dataset:
         dataset = load_dataset(args.dataset, args.format)
         if res.candidate_id in dataset.scans:
             candidate = preprocess(load_scan(dataset.scans[res.candidate_id]), cfg)
-            est = relative_pose(preprocess(cloud, cfg), candidate, res.best_shift, cfg)
+            est = relative_pose(query, candidate, res.best_shift, cfg)
             pose = pose_fields(est)
     out = {
         "match": res.candidate_id if res.accepted else None,
@@ -195,9 +195,11 @@ def cmd_selftest(args, cfg: Config) -> int:
             base = synth.generate(synth.SceneSpec(300 + seed, walls=10, range_limit=30.0))
             tx, ty = rng.uniform(-2.0, 2.0, 2)
             yaw = float(rng.uniform(0.0, 360.0))
-            moved = synth.perturb(base, tx, ty, yaw)
-            k = matching.best_shift_l1(describe(moved, cfg), describe(base, cfg)).best_shift
-            est = relative_pose(preprocess(moved, cfg), preprocess(base, cfg), k, cfg)
+            moved = preprocess(synth.perturb(base, tx, ty, yaw), cfg)
+            base = preprocess(base, cfg)
+            descs = (describe_preprocessed(moved, cfg), describe_preprocessed(base, cfg))
+            k = matching.best_shift_l1(*descs).best_shift
+            est = relative_pose(moved, base, k, cfg)
             yield properties.pose_recovered(est, tx, ty, yaw)
 
     def retrieval():

@@ -57,9 +57,9 @@ class PointCloud:
         if idx.dtype == bool:
             if idx.shape != (len(self),):
                 raise IndexError(f"mask of shape {idx.shape} for {len(self)} points")
-            idx = np.flatnonzero(idx)
-            if idx.size == len(self):
+            if idx.all():
                 return PointCloud(self.xyz, self.intensity, self.frame_id, self.dropped)
+            idx = np.flatnonzero(idx)
         inten = None if self.intensity is None else self.intensity.take(idx)
         return PointCloud(self.xyz.take(idx, axis=0), inten, self.frame_id, self.dropped)
 
@@ -209,6 +209,11 @@ def remove_ground(cloud: PointCloud, cell_m: float = 1.0, z_margin: float = 0.3)
     pre-peel floor height of peeled 8-neighbors; without such a donor they
     are left untouched.  Outlier returns outside [Z_MIN, Z_MAX] are discarded
     first.
+
+    The first peel pass visits every point.  Each later pass visits only the
+    points left in the cells the pass before peeled: any other cell keeps its
+    points, so its verdict cannot change.  The passes read contiguous copies
+    of the x, y and z columns, and the result is gathered from them.
     """
     if cell_m <= 0:
         raise ValueError("cell_m must be positive")
@@ -217,7 +222,8 @@ def remove_ground(cloud: PointCloud, cell_m: float = 1.0, z_margin: float = 0.3)
     sub = clip_height_band(cloud)
     if len(sub) == 0:
         return sub
-    x, y, z = sub.xyz.T
+    # a loaded scan's xyz is a strided view of its (n, 4) records
+    x, y, z = sub.xyz.T.copy()
     ci = np.floor((x - x.min()) / cell_m).astype(np.int64)
     cj = np.floor((y - y.min()) / cell_m).astype(np.int64)
     nr, nc = int(ci.max()) + 1, int(cj.max()) + 1
@@ -225,10 +231,9 @@ def remove_ground(cloud: PointCloud, cell_m: float = 1.0, z_margin: float = 0.3)
     ncell = nr * nc
 
     floor = np.full(ncell, np.nan)
-    total = np.bincount(cid, minlength=ncell)
-    # each pass works on the points not peeled yet: positions, cells, heights
-    live, lc, lz = np.arange(len(sub)), cid, z
-    count = total
+    ground = np.zeros(len(sub), dtype=bool)
+    # the points a pass visits: positions, cells, heights
+    pts, lc, lz = np.arange(len(sub)), cid, z
     while True:
         zmin = np.full(ncell, np.inf)
         np.minimum.at(zmin, lc, lz)
@@ -237,24 +242,27 @@ def remove_ground(cloud: PointCloud, cell_m: float = 1.0, z_margin: float = 0.3)
         gap = ~band & (lz < bottom + 2.0 * z_margin)
         support = np.bincount(lc[band], minlength=ncell)
         blocked = np.bincount(lc[gap], minlength=ncell)
-        peel = (count >= 3) & (support >= _GROUND_SUPPORT) & (blocked == 0)
+        # a cell's support counts some of its points, so it has at least that many
+        peel = (support >= _GROUND_SUPPORT) & (blocked == 0)
         if not peel.any():
             break
         first = peel & np.isnan(floor)
         floor[first] = zmin[first]
-        rest = np.flatnonzero(~(band & peel[lc]))
-        live, lc, lz = live[rest], lc[rest], lz[rest]
-        count = count - np.where(peel, support, 0)  # a peeled cell loses its band
+        hit = peel[lc]
+        ground[pts[band & hit]] = True
+        rest = np.flatnonzero(hit & ~band)  # the next pass revisits only peeled cells
+        pts, lc, lz = pts[rest], lc[rest], lz[rest]
 
-    ground = np.ones(len(sub), dtype=bool)
-    ground[live] = False
-
+    total = np.bincount(cid, minlength=ncell)
     sparse = (total > 0) & (total < 3)
     if sparse.any() and np.isfinite(floor).any():
         donor = np.full(ncell, np.nan)
         cells = np.flatnonzero(sparse)
         donor[cells] = _neighbor_median(floor.reshape(nr, nc), cells)
-        m = np.isfinite(donor)[cid]
+        m = np.flatnonzero(np.isfinite(donor)[cid])
         ground[m] |= z[m] < donor[cid[m]] + z_margin
 
-    return sub.select(~ground)
+    keep = np.flatnonzero(~ground)
+    xyz = np.column_stack((x.take(keep), y.take(keep), z.take(keep)))
+    inten = None if sub.intensity is None else sub.intensity.take(keep)
+    return PointCloud(xyz, inten, sub.frame_id, sub.dropped)

@@ -106,7 +106,9 @@ class KeyframeIndex:
         stored = self._descs[0].shape if self._descs else None
         if desc.ndim != 2 or desc.shape[1] < 2 or stored not in (None, desc.shape):
             want = stored or "a 2-D shape with at least 2 columns"
-            raise ValueError(f"descriptor shape {desc.shape} does not fit the index; expected {want}")
+            raise ValueError(
+                f"descriptor shape {desc.shape} does not fit the index; expected {want}"
+            )
         key = make_key(desc)  # degenerate frames are rejected, not stored
         self._ids.append(int(frame_id))
         self._keys.append(key)

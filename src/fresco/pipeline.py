@@ -1,11 +1,12 @@
 """Cloud-to-descriptor and two-stage pose pipeline wired through a Config.
 
 This is the one module that turns ``Config`` fields into layer calls:
-``preprocess`` (crop and ground removal), ``describe`` (BEV, log spectrum,
-polar descriptor), ``compact_2d`` (planar registration input),
-``planar_pose`` (two-branch planar NICP, keeping the branch with the lower
-truncated score, see ``fresco.pose``) and ``relative_pose`` (both stages).  The CLI and the evaluation
-harness call these instead of unpacking the config themselves.
+``preprocess`` (crop and ground removal), ``describe_preprocessed`` (BEV,
+log spectrum, polar descriptor), ``describe`` (both of those),
+``compact_2d`` (planar registration input), ``planar_pose`` (two-branch
+planar NICP, keeping the branch with the lower truncated score, see
+``fresco.pose``) and ``relative_pose`` (both stages).  The CLI and the
+evaluation harness call these instead of unpacking the config themselves.
 """
 
 from __future__ import annotations
@@ -29,10 +30,15 @@ def preprocess(cloud: PointCloud, cfg: Config) -> PointCloud:
     return remove_ground(cropped, cfg.ground_cell_m, cfg.ground_margin_m)
 
 
-def describe(cloud: PointCloud, cfg: Config) -> np.ndarray:
-    """Full descriptor pipeline: preprocess, project, transform, unroll."""
-    bev = make_bev(preprocess(cloud, cfg), cfg.window_m, cfg.grid_size)
+def describe_preprocessed(pre: PointCloud, cfg: Config) -> np.ndarray:
+    """Descriptor of an already ``preprocess``ed cloud: project, transform, unroll."""
+    bev = make_bev(pre, cfg.window_m, cfg.grid_size)
     return polar_unroll(log_spectrum(bev), cfg.crop_size, cfg.radial_bins, cfg.angular_bins)
+
+
+def describe(cloud: PointCloud, cfg: Config) -> np.ndarray:
+    """Full descriptor pipeline: ``describe_preprocessed`` of ``preprocess``."""
+    return describe_preprocessed(preprocess(cloud, cfg), cfg)
 
 
 def compact_2d(pre: PointCloud, cfg: Config) -> Compact2dCloud:

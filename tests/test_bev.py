@@ -106,3 +106,26 @@ def test_pgm_export_millimeter_scale(tmp_path):
     i, j = bin_index(0.0, 0.0, 80.0, 16)
     assert grid[i, j] == round((1.234 + HEIGHT_OFFSET) * 1000)
     assert grid.sum() == grid[i, j]
+
+
+@pytest.mark.parametrize("grid", [8, 80, 128])
+def test_window_edges_and_half_bin_ties_round_half_away(grid):
+    half = 40.0
+    width = 2.0 * half / grid  # exact in binary for these grids
+    ties = (np.arange(grid) + 0.5) * width - half
+    assert np.all((ties + half) / width % 1.0 == 0.5)  # each lands exactly on a tie
+    coords = np.concatenate([[-half, half], ties])
+    gx, gy = np.meshgrid(coords, coords[::-1])
+    rng = np.random.default_rng(12)
+    xyz = np.column_stack([gx.ravel(), gy.ravel(), rng.uniform(0.0, 10.0, gx.size)])
+
+    def half_away(coord):  # the documented rule, clamped to the grid
+        v = (coord + half) / width
+        return int(min(max(np.sign(v) * np.floor(abs(v) + 0.5), 0), grid - 1))
+
+    want = np.zeros((grid, grid))
+    for x, y, z in xyz:
+        i, j = half_away(x), half_away(y)
+        want[i, j] = max(want[i, j], z + HEIGHT_OFFSET)
+    np.testing.assert_array_equal(make_bev(PointCloud(xyz=xyz), 2.0 * half, grid).data, want)
+    assert half_away(ties[2]) == 3  # ties to even would give 2

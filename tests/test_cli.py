@@ -82,6 +82,35 @@ def test_query_self_is_a_perfect_match(places, capsys):
     assert pose["success"] is True
 
 
+def _record_preprocess_inputs(monkeypatch):
+    """The points of every cloud the CLI or the pipeline hands to ``preprocess``."""
+    import fresco.cli as cli
+    import fresco.pipeline as pipeline
+
+    seen = []
+    true_preprocess = pipeline.preprocess
+
+    def recording(cloud, cfg):
+        seen.append(cloud.xyz.tobytes())
+        return true_preprocess(cloud, cfg)
+
+    monkeypatch.setattr(pipeline, "preprocess", recording)
+    monkeypatch.setattr(cli, "preprocess", recording)
+    return seen
+
+
+def test_query_with_dataset_preprocesses_each_scan_once(places, monkeypatch, capsys):
+    root, index, _ = places
+    seen = _record_preprocess_inputs(monkeypatch)
+    code = main(
+        ["query", str(root / "000002.bin"), "--index", str(index),
+         "--dataset", str(root), "--set", "exclusion_horizon=0"]
+    )
+    assert code == 0
+    assert json.loads(capsys.readouterr().out)["pose"] is not None
+    assert len(seen) == 2  # the query scan and its match, which is the same scene
+
+
 def test_query_rotated_scan_recovers_heading(places, tmp_path, capsys):
     root, index, scenes = places
     turned = synth.perturb(scenes[2], tx=0.5, ty=-0.4, yaw_deg=37.0)
@@ -344,6 +373,13 @@ def test_selftest_passes_and_is_deterministic(capsys):
     assert "FAIL" not in first
     assert main(["selftest"]) == 0
     assert capsys.readouterr().out == first
+
+
+def test_selftest_preprocesses_each_sample_once(monkeypatch, capsys):
+    seen = _record_preprocess_inputs(monkeypatch)
+    assert main(["selftest"]) == 0
+    assert "FAIL" not in capsys.readouterr().out
+    assert seen and len(set(seen)) == len(seen)
 
 
 def test_selftest_catches_a_broken_shift(monkeypatch, capsys):

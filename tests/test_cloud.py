@@ -6,6 +6,8 @@ from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fresco import cloud as cloud_mod
 from fresco.cloud import (
@@ -312,6 +314,86 @@ def test_remove_ground_equals_the_full_mask_peel(seed):
     np.testing.assert_array_equal(got.xyz, want.xyz)
     np.testing.assert_array_equal(got.intensity, want.intensity)
     assert 0 < len(got) < len(scan)
+
+
+def _as_loaded(xyz, inten, strided):
+    """A cloud over ``xyz``; ``strided`` lays it out as a loaded scan is, as
+    views of the columns of an (n, 4) record array."""
+    if not strided:
+        return PointCloud(xyz, inten)
+    rec = np.column_stack([xyz, np.zeros(len(xyz)) if inten is None else inten])
+    cloud = PointCloud(rec[:, :3], None if inten is None else rec[:, 3])
+    assert len(cloud) < 2 or not cloud.xyz.flags.c_contiguous
+    return cloud
+
+
+def _cell_heights(kind, rng):
+    """Heights of the points one 1 m cell holds."""
+    if kind == "layers":  # detached layers 0.7 m apart, each peeled by its own pass
+        base = rng.uniform(-2.5, 0.0)
+        layers = int(rng.integers(1, 5))
+        return np.concatenate([base + 0.7 * k + rng.uniform(0.0, 0.1, rng.integers(3, 7))
+                               for k in range(layers)])
+    if kind == "sparse":
+        return rng.uniform(-2.5, 1.0, rng.integers(1, 3))
+    if kind == "column":  # vertically continuous structure, never peeled
+        return np.arange(rng.uniform(-2.5, 0.0), 3.0, 0.1)
+    if kind == "scatter":  # reaches below Z_MIN and above Z_MAX
+        return rng.uniform(-4.0, 31.0, rng.integers(1, 12))
+    return np.empty(0)
+
+
+@st.composite
+def _ground_scenes(draw):
+    """Cloud, intensity labels or None, and layout flag, on a grid of 1 m cells."""
+    side = draw(st.integers(1, 5))
+    kinds = st.sampled_from(["empty", "layers", "sparse", "column", "scatter"])
+    cells = draw(st.lists(kinds, min_size=side * side, max_size=side * side))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    parts = []
+    for cell, kind in enumerate(cells):
+        z = _cell_heights(kind, rng)
+        xy = rng.uniform(0.125, 0.875, (len(z), 2)) + divmod(cell, side)
+        # a corner point at a dyadic offset lines the filter's grid up with these cells
+        xy[:1] = np.floor(xy[:1]) + 0.125
+        parts.append(np.column_stack([xy, z]))
+    xyz = np.concatenate(parts)
+    inten = np.arange(len(xyz), dtype=float) if draw(st.booleans()) else None
+    return xyz, inten, draw(st.booleans())
+
+
+@settings(max_examples=150, deadline=None)
+@given(_ground_scenes())
+def test_remove_ground_equals_the_full_mask_peel_on_generated_scenes(scene):
+    cloud = _as_loaded(*scene)
+    got, want = remove_ground(cloud), _remove_ground_by_full_masks(cloud)
+    np.testing.assert_array_equal(got.xyz, want.xyz)
+    if cloud.intensity is None:
+        assert got.intensity is None
+    else:
+        np.testing.assert_array_equal(got.intensity, want.intensity)
+
+
+@pytest.mark.parametrize("strided", [False, True])
+def test_remove_ground_peels_stacked_layers_one_pass_each(strided):
+    rng = np.random.default_rng(44)
+    xyz = np.empty((0, 3))
+    # a cell of three detached layers, and a one-point cell on each side of it
+    for (cx, cy), z in [((1, 1), np.repeat([-1.7, -1.0, -0.3], 4) + rng.uniform(0.0, 0.05, 12)),
+                        ((0, 1), np.array([-1.6])), ((2, 1), np.array([5.0])),
+                        ((1, 0), np.array([-9.0, 40.0]))]:
+        xy = np.array([cx, cy]) + rng.uniform(0.125, 0.875, (len(z), 2))
+        xyz = np.vstack([xyz, np.column_stack([xy, z])])
+    xyz = np.vstack([xyz, [[0.125, 0.125, -2.9]]])  # anchors the grid at 0.125
+    cloud = _as_loaded(xyz, np.arange(len(xyz), dtype=float), strided)
+    got = remove_ground(cloud)
+    want = _remove_ground_by_full_masks(cloud)
+    np.testing.assert_array_equal(got.xyz, want.xyz)
+    np.testing.assert_array_equal(got.intensity, want.intensity)
+    # a pass peels one layer, so three passes took the stack; the out-of-band
+    # pair is clipped; the sparse returns below the stack's floor (the anchor
+    # and -1.6 m) borrow it and go, the one at 5 m stays
+    assert got.intensity.tolist() == [13]
 
 
 @pytest.mark.parametrize("with_intensity", [True, False])

@@ -379,3 +379,32 @@ def test_run_evaluation_labels_against_what_the_index_could_return(tmp_path):
         )
         assert r["label"] == want, q
         replay.insert(q, np.ones((2, 2)))
+
+
+def test_run_evaluation_describes_through_the_pipeline_module(tmp_path, monkeypatch):
+    """A wrapper installed on ``fresco.pipeline.describe`` sees every keyframe."""
+    from fresco import pipeline, synth
+    from fresco.config import Config
+    from fresco.datasets import load_dataset
+    from fresco.evaluate import run_evaluation
+    from conftest import write_bin
+
+    root = tmp_path / "route"
+    root.mkdir()
+    for i in range(4):
+        spec = synth.SceneSpec(seed=950 + i, pillars=14, walls=4, rings=2, range_limit=30.0)
+        write_bin(root / f"{i:06d}.bin", synth.generate(spec).xyz)
+    (root / "poses.csv").write_text(
+        "frame,x,y,z,yaw_deg\n" + "".join(f"{i},{2.0 * i},0.0,0.0,0.0\n" for i in range(4))
+    )
+    described = []
+    true_describe = pipeline.describe
+
+    def recording(cloud, cfg):
+        described.append(cloud.frame_id)
+        return true_describe(cloud, cfg)
+
+    monkeypatch.setattr(pipeline, "describe", recording)
+    report = run_evaluation(load_dataset(root, "generic"), Config(), tmp_path / "out")
+    assert report["dataset"]["keyframes"] == 4
+    assert sorted(described) == [0, 1, 2, 3]
