@@ -104,30 +104,33 @@ def _voxel_centroids(pts: np.ndarray, voxel: float) -> np.ndarray:
     the per-axis minimum, mixed radix over the per-axis spans), whose sort
     order is the lexicographic order of the key rows, so a 1-D unique groups
     the voxels without a row-wise sort.  When the spans' product does not
-    fit in an int64 the rows are lexsorted instead, in the same order.
+    fit in an int64 the rows are lexsorted instead, in the same order.  The
+    keys and sums work on one contiguous copy of the columns, one row per
+    axis, so every per-axis reduction reads contiguous memory.
     """
     dim = pts.shape[1]
     if pts.shape[0] == 0:
         return np.empty((0, dim))
-    keys = np.floor(pts / voxel).astype(np.int64)
-    keys -= keys.min(axis=0)
-    spans = [int(s) + 1 for s in keys.max(axis=0)]
+    cols = pts.T.copy()
+    keys = np.floor(cols / voxel).astype(np.int64)
+    keys -= keys.min(axis=1, keepdims=True)
+    spans = [int(s) + 1 for s in keys.max(axis=1)]
     if math.prod(spans) <= np.iinfo(np.int64).max:
-        flat = keys[:, 0].copy()
+        flat = keys[0]  # folded in place; the key rows are not read again
         for d in range(1, dim):
             flat *= spans[d]
-            flat += keys[:, d]
+            flat += keys[d]
         _, inverse, counts = np.unique(flat, return_inverse=True, return_counts=True)
     else:
-        order = np.lexsort(keys.T[::-1])
-        ordered = keys[order]
-        start = np.concatenate(([True], (ordered[1:] != ordered[:-1]).any(axis=1)))
-        inverse = np.empty(len(keys), dtype=np.int64)
+        order = np.lexsort(keys[::-1])
+        ordered = keys[:, order]
+        start = np.concatenate(([True], (ordered[:, 1:] != ordered[:, :-1]).any(axis=0)))
+        inverse = np.empty(order.size, dtype=np.int64)
         inverse[order] = np.cumsum(start) - 1
-        counts = np.diff(np.append(np.flatnonzero(start), len(keys)))
+        counts = np.diff(np.append(np.flatnonzero(start), order.size))
     sums = np.zeros((counts.shape[0], dim))
     for d in range(dim):
-        sums[:, d] = np.bincount(inverse, weights=pts[:, d])
+        sums[:, d] = np.bincount(inverse, weights=cols[d])
     return sums / counts[:, None]
 
 
@@ -142,6 +145,71 @@ def _query_within(tree: cKDTree, points: np.ndarray, gate_m: float):
     distance inf and index ``tree.n``.  No part of the tree beyond the gate
     is searched, and a neighbor exactly at the gate is still found."""
     return tree.query(points, distance_upper_bound=np.nextafter(gate_m, np.inf))
+
+
+# Rounding allowance (m) for the cached search's proofs, not a setting: it
+# covers the last-bit error of the distances they add up.  A larger value
+# only sends more points back to the tree.
+_CACHE_SLACK_M = 1e-6
+
+
+def _requery_within(tree: cKDTree, points: np.ndarray, gate_m: float, cache=None):
+    """``_query_within(tree, points, gate_m)`` bit for bit, searching the tree
+    only for points whose nearest neighbor may have changed since ``cache``.
+
+    Returns ``dist, idx, cache``; pass ``cache`` back with the same points
+    moved.  The first call (``cache`` None) searches every point for two
+    neighbors.  Per point the cache holds where it was last searched (its
+    anchor), the nearest neighbor there with its distance ``d1``, and ``d2``,
+    a bound below the anchor's distance to every other candidate (the second
+    neighbor's distance, or the search bound).  By the triangle inequality a
+    point ``delta`` from its anchor keeps its neighbor as the unique nearest
+    one while ``d1 + 2 delta < d2``, and has no neighbor within the bound
+    ``ub`` while ``ub + delta < min(d1, d2)``, whichever way the gate moved;
+    both tests carry ``_CACHE_SLACK_M``.  Every other point is searched again
+    and re-anchored.  A kept distance is recomputed in cKDTree's arithmetic
+    (a sum of squares in axis order, tested against ``ub * ub``, then sqrt);
+    one within the slack of the bound is left to the tree, which prunes by
+    its own rounding.  Where the two nearest tie within the slack, the plain
+    search picks, so the tree breaks the tie as ``_query_within`` does.
+    """
+    ub = np.nextafter(gate_m, np.inf)
+    n = len(points)
+    if cache is None:  # a cache that proves nothing: every point is searched
+        cache = (points.copy(), np.full(n, np.inf), np.full(n, tree.n), np.zeros(n))
+    anchor, d1, i1, d2 = cache
+    moved = points - anchor
+    delta = np.sqrt(np.einsum("ij,ij->i", moved, moved))
+    # no candidate within ub: every one was at least min(d1, d2) from the anchor
+    settled = ub + delta + _CACHE_SLACK_M < np.minimum(d1, d2)
+    # the cached neighbor is still the unique nearest one
+    same = np.flatnonzero((d1 + 2.0 * delta + _CACHE_SLACK_M < d2) & ~settled)
+    nbr = i1[same]
+    diff = points[same] - tree.data[nbr]
+    s = diff[:, 0] * diff[:, 0]
+    for c in range(1, diff.shape[1]):
+        s += diff[:, c] * diff[:, c]
+    near = np.sqrt(s)
+    clear = np.abs(near - ub) > _CACHE_SLACK_M
+    hit = clear & (s < ub * ub)
+    dist = np.full(n, np.inf)
+    idx = np.full(n, tree.n)
+    dist[same[hit]] = near[hit]
+    idx[same[hit]] = nbr[hit]
+    settled[same[clear]] = True
+    redo = np.flatnonzero(~settled)
+    if redo.size:
+        x = points[redo]
+        d, i = tree.query(x, k=2, distance_upper_bound=ub)
+        second = np.minimum(d[:, 1], ub)  # finite, so no inf - inf below
+        anchor[redo] = x
+        d1[redo] = dist[redo] = d[:, 0]
+        i1[redo] = idx[redo] = i[:, 0]
+        d2[redo] = second
+        tie = redo[np.isfinite(d[:, 0]) & (second - d[:, 0] <= _CACHE_SLACK_M)]
+        if tie.size:
+            dist[tie], idx[tie] = _query_within(tree, points[tie], gate_m)
+    return dist, idx, cache
 
 
 def _cap_per_cell(cells: np.ndarray, cap: int) -> np.ndarray:
@@ -350,6 +418,14 @@ def refine_pose_3d(
     (inf when none survive).  ``success`` records whether the final mse
     beats ``STAGE2_SUCCESS_MSE``.  Nothing beyond the current gate is
     searched for a correspondence.
+
+    The seed search finds every query centroid's two nearest neighbors;
+    later iterations and the final score re-use them and search again only
+    the centroids whose nearest neighbor the triangle inequality cannot prove
+    unchanged (``_requery_within``).  Late iterations move the pose by
+    millimeters, so few are searched, and since every correspondence is the
+    one a full search would find, the result is that of searching every
+    centroid on every iteration, bit for bit.
     """
     a = _voxel_centroids(query.xyz, voxel_m)
     b = _voxel_centroids(candidate.xyz, voxel_m)
@@ -357,15 +433,22 @@ def refine_pose_3d(
     if a.shape[0] < 10 or b.shape[0] < 10:
         return matrix_to_se3(t, mse=np.inf, converged=False, success=False)
     tree = cKDTree(b)
-    # the seed pose's correspondences are iteration 0's as well
-    seed = _query_within(tree, a @ t[:3, :3].T + t[:3, 3], max(gate_start_m, gate_end_m))
-    init_mse = _gated_mse(seed[0], gate_end_m)
+    # the seed pose's correspondences are iteration 0's as well; scoring the
+    # seed alone needs only the nearest neighbor, not the cache
+    p = a @ t[:3, :3].T + t[:3, 3]
+    seed_gate = max(gate_start_m, gate_end_m)
+    if max_iters:
+        dist, j, cache = _requery_within(tree, p, seed_gate)
+    else:
+        dist, j = _query_within(tree, p, seed_gate)
+    init_mse = _gated_mse(dist, gate_end_m)
     converged = False
     for it in range(max_iters):
         frac = it / max(max_iters - 1, 1)
         gate = gate_start_m + (gate_end_m - gate_start_m) * frac
-        p = a @ t[:3, :3].T + t[:3, 3]
-        dist, j = seed if it == 0 else _query_within(tree, p, gate)
+        if it:
+            p = a @ t[:3, :3].T + t[:3, 3]
+            dist, j, cache = _requery_within(tree, p, gate, cache)
         m = np.flatnonzero(dist <= gate)
         if m.size < 3:
             break
@@ -387,7 +470,7 @@ def refine_pose_3d(
             converged = True
             break
     if converged:
-        dist, _ = _query_within(tree, a @ t[:3, :3].T + t[:3, 3], gate_end_m)
+        dist, _, _ = _requery_within(tree, a @ t[:3, :3].T + t[:3, 3], gate_end_m, cache)
         mse = _gated_mse(dist, gate_end_m)
         # an exact seed (mse 0) refines to rounding noise, not to a worse pose
         converged = mse <= init_mse + 1e-12

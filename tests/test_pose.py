@@ -397,6 +397,130 @@ def test_refine_pass_through_reports_the_seed_alignment_mse(seed):
     assert (est.tx, est.ty) == (init.tx, init.ty)
 
 
+def _refine_pose_3d_by_full_search(
+    query, candidate, init, voxel_m=0.4, max_iters=20, gate_start_m=2.0, gate_end_m=0.5
+):
+    """The former ``refine_pose_3d``, kept as the oracle: every iteration and
+    the final score search the tree for every query centroid."""
+    a = pose_mod._voxel_centroids(query.xyz, voxel_m)
+    b = pose_mod._voxel_centroids(candidate.xyz, voxel_m)
+    t = se2_to_matrix(init)
+    if a.shape[0] < 10 or b.shape[0] < 10:
+        return matrix_to_se3(t, mse=np.inf, converged=False, success=False)
+    tree = cKDTree(b)
+    seed = pose_mod._query_within(
+        tree, a @ t[:3, :3].T + t[:3, 3], max(gate_start_m, gate_end_m)
+    )
+    init_mse = pose_mod._gated_mse(seed[0], gate_end_m)
+    converged = False
+    for it in range(max_iters):
+        frac = it / max(max_iters - 1, 1)
+        gate = gate_start_m + (gate_end_m - gate_start_m) * frac
+        p = a @ t[:3, :3].T + t[:3, 3]
+        dist, j = seed if it == 0 else pose_mod._query_within(tree, p, gate)
+        m = np.flatnonzero(dist <= gate)
+        if m.size < 3:
+            break
+        pm = p.take(m, axis=0)
+        qm = b.take(j.take(m), axis=0)
+        cp = pm.mean(axis=0)
+        cq = qm.mean(axis=0)
+        h = (pm - cp).T @ (qm - cq)
+        u, _, vt = np.linalg.svd(h)
+        d = np.sign(np.linalg.det(vt.T @ u.T))
+        r = vt.T @ np.diag([1.0, 1.0, d]) @ u.T
+        tvec = cq - r @ cp
+        delta = np.eye(4)
+        delta[:3, :3] = r
+        delta[:3, 3] = tvec
+        t = delta @ t
+        angle = np.arccos(np.clip((np.trace(r) - 1.0) / 2.0, -1.0, 1.0))
+        if np.linalg.norm(tvec) < 1e-3 and angle < 1e-4:
+            converged = True
+            break
+    if converged:
+        dist, _ = pose_mod._query_within(tree, a @ t[:3, :3].T + t[:3, 3], gate_end_m)
+        mse = pose_mod._gated_mse(dist, gate_end_m)
+        converged = mse <= init_mse + 1e-12
+    if not converged:
+        t, mse = se2_to_matrix(init), init_mse
+    return matrix_to_se3(t, mse=mse, converged=converged, success=bool(mse < STAGE2_SUCCESS_MSE))
+
+
+def _lattice_revisit(seed):
+    """A scene snapped to a 0.5 m lattice and a copy of it a quarter step off
+    in x and y: at a 0.5 m voxel every centroid is a lattice point, so at the
+    identity seed each query centroid ties between its lattice neighbors."""
+    xyz = np.round(_scene(seed).xyz * 2.0) / 2.0
+    return PointCloud(xyz + [0.25, 0.25, 0.0]), PointCloud(xyz)
+
+
+_REFINE_CASES = {
+    "converged": lambda s: (*_revisit_pair(s), _SEEDS["converged"], 0.4),
+    "perturbed": lambda s: (*_revisit_pair(s), Se2Pose(1.1, -0.2, np.radians(26.0)), 0.4),
+    "alias": lambda s: (*_revisit_pair(s), Se2Pose(0.8, -0.5, np.radians(210.0)), 0.4),
+    "pass-through": lambda s: (*_revisit_pair(s), _SEEDS["pass-through"], 0.4),
+    "self-match": lambda s: (_scene(s), _scene(s), Se2Pose(0.0, 0.0, 0.0), 0.4),
+    "lattice": lambda s: (*_lattice_revisit(s), Se2Pose(0.0, 0.0, 0.0), 0.5),
+}
+
+
+@pytest.mark.parametrize("max_iters", [20, 0])
+@pytest.mark.parametrize("seed", [72, 73])
+@pytest.mark.parametrize("case", sorted(_REFINE_CASES))
+def test_refine_equals_the_full_search_loop(case, seed, max_iters):
+    query, cand, init, voxel = _REFINE_CASES[case](seed)
+    got = refine_pose_3d(query, cand, init, voxel, max_iters=max_iters)
+    want = _refine_pose_3d_by_full_search(query, cand, init, voxel, max_iters=max_iters)
+    assert astuple(got) == astuple(want)
+
+
+_WALK_GATES = st.sampled_from([0.125, 0.25, 0.5, 1.0, 2.0])
+# per-step motion scale (m); 2 m is beyond every cached margin
+_WALK_SCALES = st.sampled_from([0.001, 0.01, 0.1, 0.5, 2.0])
+
+
+@st.composite
+def _search_walks(draw):
+    """A candidate cloud, query points near it plus a few far from it, and a
+    walk of rigid moves, each with its own gate, so gates shrink and grow.
+    On the dyadic lattice the moves are lattice translations and every
+    distance is exact, so nearest neighbors tie exactly."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    lattice = draw(st.booleans())
+    n = draw(st.integers(1, 300))
+    if lattice:
+        cand = rng.integers(-6, 7, (n, 3)) * 0.5
+        points = rng.integers(-14, 15, (n, 3)) * 0.25
+    else:
+        cand = rng.uniform(-4.0, 4.0, (n, 3))
+        points = cand[rng.integers(0, n, n)] + rng.normal(0.0, 0.3, (n, 3))
+    points = np.vstack([points, points[: draw(st.integers(0, 5))] + 30.0])
+    walk = []
+    for scale, gate in draw(st.lists(st.tuples(_WALK_SCALES, _WALK_GATES), min_size=2, max_size=6)):
+        if lattice:
+            shift, yaw = np.round(rng.uniform(-scale, scale, 3) * 8.0) / 8.0, 0.0
+        else:
+            shift, yaw = rng.uniform(-scale, scale, 3), rng.uniform(-scale, scale) / 4.0
+        walk.append((shift, yaw, gate))
+    return cand, points, walk
+
+
+@settings(max_examples=200, deadline=None)
+@given(_search_walks())
+def test_cached_search_equals_the_plain_search(case):
+    cand, points, walk = case
+    tree = cKDTree(cand)
+    cache = None
+    for shift, yaw, gate in walk:
+        points = transform_3d(points, shift[0], shift[1], yaw) + [0.0, 0.0, shift[2]]
+        dist, idx, cache = pose_mod._requery_within(tree, points, gate, cache)
+        want_dist, want_idx = pose_mod._query_within(tree, points, gate)
+        np.testing.assert_array_equal(dist, want_dist)
+        np.testing.assert_array_equal(idx, want_idx)
+        assert (dist[np.isfinite(dist)] <= gate).all()
+
+
 def _preprocessed_revisit(seed):
     """A revisit pair through ``preprocess`` and the shift the descriptor would
     report for its 30 degree turn (3 degrees per column at 120 bins)."""
@@ -449,6 +573,47 @@ def test_relative_pose_propagates_insufficient_structure():
     sparse = PointCloud(xyz=np.random.default_rng(0).uniform(0.0, 1.0, (5, 3)))
     with pytest.raises(InsufficientStructureError):
         relative_pose(q, sparse, k, cfg)
+
+
+@pytest.fixture
+def tree_searches(monkeypatch):
+    """(rows, k) of every search of a tree that ``fresco.pose`` builds."""
+    searches = []
+
+    class CountingTree(cKDTree):
+        def query(self, x, k=1, **kw):
+            searches.append((len(x), k))
+            return super().query(x, k=k, **kw)
+
+    monkeypatch.setattr(pose_mod, "cKDTree", CountingTree)
+    return searches
+
+
+def test_refine_searches_every_query_centroid_once_then_only_the_unsettled(tree_searches):
+    q, c, k, cfg = _preprocessed_revisit(72)
+    planar = planar_pose(compact_2d(q, cfg), compact_2d(c, cfg), k, cfg)
+    n = len(pose_mod._voxel_centroids(q.xyz, cfg.voxel_m))
+    tree_searches.clear()
+    assert refine_pose_3d(q, c, planar, cfg.voxel_m).converged
+    assert tree_searches[0] == (n, 2)
+    assert len(tree_searches) > 1
+    assert sum(rows for rows, _ in tree_searches[1:]) < n
+    tree_searches.clear()
+    refine_pose_3d(q, c, planar, cfg.voxel_m, max_iters=0)
+    assert tree_searches == [(n, 1)]
+
+
+def test_cached_search_leaves_a_neighbor_at_the_bound_to_the_tree(tree_searches):
+    tree = pose_mod.cKDTree(np.array([[0.0, 0.0, 0.0], [4.0, 0.0, 0.0]]))
+    points = np.array([[0.5, 0.0, 0.0]])
+    _, _, cache = pose_mod._requery_within(tree, points, 2.0)
+    # the re-search finds no second neighbor within the gate, so the gate bounds
+    # the rest and the pair counts as a tie, which the plain search decides
+    for gate, searched in ((1.0, []), (0.5, [(1, 2), (1, 1)])):
+        tree_searches.clear()
+        dist, idx, cache = pose_mod._requery_within(tree, points, gate, cache)
+        assert tree_searches == searched
+        assert (dist[0], idx[0]) == (0.5, 0)
 
 
 # dyadic coordinates, one point per voxel: every distance below is exact
