@@ -97,7 +97,7 @@ def _coerce(name: str, value):
             return out
         if kind == "float":
             return float(value)
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):  # OverflowError: int(inf)
         raise ConfigError(f"{name}: cannot interpret {value!r} as {kind}") from None
     raise ConfigError(f"{name}: unsupported field type {kind}")
 

@@ -3,6 +3,7 @@ and the accept/reject match decision."""
 
 from __future__ import annotations
 
+import operator
 import struct
 from bisect import bisect_left
 from dataclasses import dataclass
@@ -17,7 +18,10 @@ from .pose import shift_to_rotation
 
 _MAGIC = b"FRIX"
 _VERSION = 2
-_REBUILD_EVERY = 64  # insertions between k-d tree rebuilds
+_REBUILD_EVERY = 64  # eligible keys outside the k-d tree that trigger a rebuild
+# A rounding allowance, not a setting: tree distances sum the same squared differences
+# in another order, so two closer than this relative gap may tie in the exact arithmetic.
+_TIE_SLACK = 1e-9
 
 
 class DegenerateDescriptorError(Exception):
@@ -55,11 +59,11 @@ class MatchResult:
 class KeyframeIndex:
     """Insertion-ordered store of (id, key, descriptor).
 
-    Retrieval is exact nearest-neighbor over keys: a k-d tree is rebuilt
-    every 64 insertions and the unindexed tail is scanned linearly, so
-    answers never depend on rebuild timing.  The most recent
-    ``exclusion_horizon`` insertions are never returned, which keeps a
-    vehicle from matching the scene it is still inside.
+    Retrieval is ``properties.linear_scan`` over the eligible keys, ties and
+    distances included.  A k-d tree over eligible keys only screens, and is
+    rebuilt once 64 eligible keys lie outside it, so answers never depend on
+    rebuild timing.  The most recent ``exclusion_horizon`` insertions are
+    never returned, which keeps a vehicle from matching the scene it is in.
     """
 
     def __init__(self, exclusion_horizon: int = 30):
@@ -69,8 +73,7 @@ class KeyframeIndex:
         self._ids: list[int] = []
         self._keys: list[np.ndarray] = []
         self._descs: list[np.ndarray] = []
-        self._tree: cKDTree | None = None
-        self._tree_size = 0
+        self._tree: cKDTree | None = None  # over the first tree.n keys, all eligible
 
     def __len__(self) -> int:
         return len(self._ids)
@@ -91,17 +94,18 @@ class KeyframeIndex:
             raise ValueError(f"frame id {frame_id} is not in the index")
         return self._descs[pos]
 
-    def _check_next_id(self, frame_id: int) -> None:
-        if self._ids and frame_id <= self._ids[-1]:
-            raise ValueError(
-                f"frame id {frame_id} not greater than last inserted {self._ids[-1]}"
-            )
-
     def insert(self, frame_id: int, desc: np.ndarray) -> None:
-        """Add a frame; ids must be new and strictly increasing, and every
-        descriptor must be finite and have the first one's 2-D shape, at
-        least 2 columns wide."""
-        self._check_next_id(frame_id)
+        """Add a frame; ids must be integers in [0, 2**64) that strictly
+        increase, and every descriptor must be finite and have the first
+        one's 2-D shape, at least 2 columns wide."""
+        try:
+            frame_id = operator.index(frame_id)
+        except TypeError:
+            raise ValueError(f"frame id {frame_id!r} is not an integer") from None
+        if not 0 <= frame_id < 2**64:
+            raise ValueError(f"frame id {frame_id} does not fit in an unsigned 64-bit integer")
+        if self._ids and frame_id <= self._ids[-1]:
+            raise ValueError(f"frame id {frame_id} not greater than last inserted {self._ids[-1]}")
         desc = np.asarray(desc, dtype=np.float64)
         stored = self._descs[0].shape if self._descs else None
         if desc.ndim != 2 or desc.shape[1] < 2 or stored not in (None, desc.shape):
@@ -110,39 +114,39 @@ class KeyframeIndex:
                 f"descriptor shape {desc.shape} does not fit the index; expected {want}"
             )
         key = make_key(desc)  # degenerate frames are rejected, not stored
-        self._ids.append(int(frame_id))
+        self._ids.append(frame_id)
         self._keys.append(key)
         self._descs.append(desc)
-        if len(self._ids) % _REBUILD_EVERY == 0:
-            self._tree = cKDTree(np.vstack(self._keys))
-            self._tree_size = len(self._keys)
 
-    def retrieve(self, desc: np.ndarray, num_candidates: int) -> list[tuple[int, float]]:
-        """Up to ``num_candidates`` eligible (id, key distance) pairs, nearest first.
+    def _nearest(self, desc: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
+        """Positions and distances of the ``k`` eligible keys nearest ``desc``'s.
 
-        Only ``eligible_ids`` are returned.  Ties in distance break toward
-        the smaller id so results are reproducible.
+        Unless the tree's (k+1)-th nearest may tie its k-th, its k nearest hold
+        the exact k nearest; else every tree key stays, as do the keys outside
+        the tree.  ``properties.linear_scan``'s arithmetic ranks the candidates.
         """
-        if num_candidates < 1:
+        if k < 1:
             raise ValueError("num_candidates must be >= 1")
         key = make_key(desc)
-        eligible = len(self.eligible_ids)
-        if not eligible:
-            return []
-        found: list[tuple[float, int]] = []
-        tree_n = min(self._tree_size, eligible)
-        if self._tree is not None and tree_n > 0:
-            # over-fetch: at most exclusion_horizon tree entries are ineligible
-            k = min(self._tree_size, num_candidates + self.exclusion_horizon)
-            dist, pos = self._tree.query(key, k=k)
-            for d, p in zip(np.atleast_1d(dist), np.atleast_1d(pos)):
-                if p < tree_n:
-                    found.append((float(d), self._ids[int(p)]))
-        for p in range(self._tree_size, eligible):
-            d = float(np.linalg.norm(self._keys[p] - key))
-            found.append((d, self._ids[p]))
-        found.sort()
-        return [(fid, d) for d, fid in found[:num_candidates]]
+        n = max(0, len(self._ids) - self.exclusion_horizon)  # never falls
+        t = 0 if self._tree is None else self._tree.n
+        if n - t >= _REBUILD_EVERY:
+            self._tree, t = cKDTree(np.array(self._keys[:n])), n
+        pos = np.arange(n)
+        if k < t:  # else every tree key is a candidate anyway
+            dist, near = self._tree.query(key, k=k + 1)
+            if dist[k] - dist[k - 1] > _TIE_SLACK * dist[k]:
+                pos = np.concatenate([np.sort(near[:k]), pos[t:]])
+        rows = np.reshape([self._keys[p] for p in pos], (-1, key.size))
+        dist = np.linalg.norm(rows - key, axis=1)
+        order = np.argsort(dist, kind="stable")[:k]
+        return pos[order], dist[order]
+
+    def retrieve(self, desc: np.ndarray, num_candidates: int) -> list[tuple[int, float]]:
+        """Up to ``num_candidates`` (id, key distance) pairs of ``eligible_ids``,
+        nearest first, ties to the smaller id."""
+        pos, dist = self._nearest(desc, num_candidates)
+        return [(self._ids[p], d) for p, d in zip(pos.tolist(), dist.tolist())]
 
     def match(
         self,
@@ -162,19 +166,16 @@ class KeyframeIndex:
         way so callers can sweep thresholds afterwards.
         """
         desc = np.asarray(desc, dtype=np.float64)
-        candidates = self.retrieve(desc, num_candidates)
-        if not candidates:
+        pos, _ = self._nearest(desc, num_candidates)
+        if not pos.size:
             return MatchResult(None, np.inf, np.inf, 0, 0.0, False)
-        ids = [fid for fid, _ in candidates]
-        stack = np.stack([self.descriptor(fid) for fid in ids])
+        stack = np.stack([self._descs[p] for p in pos])
         best, shift, d_l1 = confirm_min(desc, stack, shift_l1_table(desc, stack))
-        best_id = ids[best]
         # shift(desc, k) ~ candidate, so the candidate aligned to desc is shift(candidate, -k)
-        d_r = row_cosine(desc, circular_shift(self.descriptor(best_id), -shift))
+        d_r = row_cosine(desc, circular_shift(stack[best], -shift))
         accepted = d_l1 <= l1_threshold and d_r <= cosine_threshold
-        return MatchResult(
-            best_id, d_l1, d_r, shift, shift_to_rotation(shift, desc.shape[1]), accepted
-        )
+        rotation = shift_to_rotation(shift, desc.shape[1])
+        return MatchResult(self._ids[pos[best]], d_l1, d_r, shift, rotation, accepted)
 
     def save(self, path) -> None:
         """Write the header, every frame id as u64, then every descriptor as

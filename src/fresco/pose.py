@@ -22,6 +22,8 @@ from .cloud import PointCloud
 
 # Stage 2 calls a pose a success when its gated mse (m^2) is below this.
 STAGE2_SUCCESS_MSE = 1.5
+_TOL_T_M, _TOL_YAW_RAD = 1e-3, 1e-4  # an ICP step smaller than both has converged
+_MIN_POINTS = 10  # fewest structure points a cloud is registered with
 
 
 class InsufficientStructureError(Exception):
@@ -253,8 +255,8 @@ def extract_compact_2d(
     dropped because their normal direction is meaningless.
     """
     xyz = cloud.xyz
-    if len(cloud) < 10:
-        raise InsufficientStructureError(f"{len(cloud)} points, need at least 10")
+    if len(cloud) < _MIN_POINTS:
+        raise InsufficientStructureError(f"{len(cloud)} points, need at least {_MIN_POINTS}")
     x, y, z = xyz.T
     ci = np.floor((x - x.min()) / coarse_grid_m).astype(np.int64)
     cj = np.floor((y - y.min()) / coarse_grid_m).astype(np.int64)
@@ -274,8 +276,10 @@ def extract_compact_2d(
 
     pts = _voxel_centroids(xyz[sel, :2], voxel_m)
     n = pts.shape[0]
-    if n < 10:
-        raise InsufficientStructureError(f"{n} points after downsampling, need at least 10")
+    if n < _MIN_POINTS:
+        raise InsufficientStructureError(
+            f"{n} points after downsampling, need at least {_MIN_POINTS}"
+        )
 
     k = min(normal_neighbors + 1, n)
     _, nbr = cKDTree(pts).query(pts, k=k)
@@ -295,9 +299,9 @@ def extract_compact_2d(
     v[weak] = alt[weak]
     norms = np.linalg.norm(v, axis=1)
     ok = (lam_major > 0) & (norms > 0) & (lam_minor <= max_flatness_ratio * lam_major)
-    if ok.sum() < 10:
+    if ok.sum() < _MIN_POINTS:
         raise InsufficientStructureError(
-            f"{int(ok.sum())} points with usable normals, need at least 10"
+            f"{int(ok.sum())} points with usable normals, need at least {_MIN_POINTS}"
         )
     return Compact2dCloud(pts[ok], v[ok] / norms[ok, None])
 
@@ -312,8 +316,6 @@ def nicp_2d(
     max_iters: int = 30,
     gate_start_m: float = 8.0,
     gate_end_m: float = 0.5,
-    tol_t: float = 1e-3,
-    tol_yaw: float = 1e-4,
 ) -> Se2Pose:
     """Planar point-to-plane alignment of src onto dst.
 
@@ -322,15 +324,15 @@ def nicp_2d(
     iterations can absorb multi-meter revisit offsets.  Each Gauss-Newton
     step is halved until the residual on that iteration's correspondences
     does not increase, so the recorded objective never rises within a step.
-    Convergence means the pose update fell below ``tol_t`` / ``tol_yaw``.
+    Convergence means the pose update fell below ``_TOL_T_M`` / ``_TOL_YAW_RAD``.
     The reported mse is the mean squared distance over correspondences
     gated at ``gate_end_m`` at the final pose (inf when none survive); the
     score is the mean over all source points of the squared distance
     capped at ``gate_end_m``.  Nothing beyond the current gate is searched
     for a correspondence.
     """
-    if src.points.shape[0] < 10 or dst.points.shape[0] < 10:
-        raise InsufficientStructureError("both clouds need at least 10 points")
+    if min(src.points.shape[0], dst.points.shape[0]) < _MIN_POINTS:
+        raise InsufficientStructureError(f"both clouds need at least {_MIN_POINTS} points")
     tree = cKDTree(dst.points)
     tx, ty, yaw = 0.0, 0.0, float(yaw_init)
     converged = False
@@ -366,7 +368,7 @@ def nicp_2d(
         yaw = yaw + dyaw
         tx, ty = rot2(dyaw) @ np.array([tx, ty]) + np.array([dtx, dty])
         trace.append((before, after))
-        if np.hypot(dtx, dty) < tol_t and abs(dyaw) < tol_yaw:
+        if np.hypot(dtx, dty) < _TOL_T_M and abs(dyaw) < _TOL_YAW_RAD:
             converged = True
             break
     dist, _ = _query_within(tree, transform_xy(src.points, tx, ty, yaw), gate_end_m)
@@ -430,7 +432,7 @@ def refine_pose_3d(
     a = _voxel_centroids(query.xyz, voxel_m)
     b = _voxel_centroids(candidate.xyz, voxel_m)
     t = se2_to_matrix(init)
-    if a.shape[0] < 10 or b.shape[0] < 10:
+    if min(a.shape[0], b.shape[0]) < _MIN_POINTS:
         return matrix_to_se3(t, mse=np.inf, converged=False, success=False)
     tree = cKDTree(b)
     # the seed pose's correspondences are iteration 0's as well; scoring the
@@ -466,7 +468,7 @@ def refine_pose_3d(
         delta[:3, 3] = tvec
         t = delta @ t
         angle = np.arccos(np.clip((np.trace(r) - 1.0) / 2.0, -1.0, 1.0))
-        if np.linalg.norm(tvec) < 1e-3 and angle < 1e-4:
+        if np.linalg.norm(tvec) < _TOL_T_M and angle < _TOL_YAW_RAD:
             converged = True
             break
     if converged:

@@ -82,13 +82,15 @@ def test_retrieval_matches_a_linear_scan_exactly():
     rng = np.random.default_rng(7)
     mismatches = 0
     for size in (10, 100, 1000):
-        descs = [rng.uniform(0.1, 1.1, (8, 12)) for _ in range(size)]
+        # each descriptor recurs about 4 times, so tied keys straddle the 20th place
+        pool = rng.uniform(0.1, 1.1, (max(size // 4, 1), 8, 12))
+        descs = pool[rng.integers(0, len(pool), size)]
         keys = np.array([make_key(d) for d in descs])
         idx = KeyframeIndex(exclusion_horizon=0)
         for i, d in enumerate(descs):
             idx.insert(i, d)
-        for _ in range(50):
-            q = rng.uniform(0.1, 1.1, (8, 12))
+        for t in range(50):
+            q = pool[t % len(pool)] if t % 2 else rng.uniform(0.1, 1.1, (8, 12))
             got = [fid for fid, _ in idx.retrieve(q, 20)]
             mismatches += got != properties.linear_scan(keys, make_key(q), 20)
     _verdict(

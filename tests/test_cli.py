@@ -227,6 +227,16 @@ def test_non_finite_geometry_is_a_config_error(places, tmp_path, capsys):
     assert not (tmp_path / "x.frix").exists()
 
 
+@pytest.mark.parametrize("text", ["Infinity", "1e999"])
+def test_infinite_int_in_a_config_file_is_a_config_error(tmp_path, capsys, text):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(f'{{"version": 1, "cell_cap": {text}}}')
+    assert main(["selftest", "--config", str(cfg)]) == 1
+    err = capsys.readouterr().err
+    assert "config error" in err and "cell_cap: cannot interpret inf as int" in err
+    assert "Traceback" not in err
+
+
 def test_set_overrides_config_file(tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
     cfg.write_text('{"version": 1, "angular_bins": 122}')

@@ -1,5 +1,6 @@
 """Configuration loading, validation, coercion, overrides, and the thread fan-out."""
 
+import dataclasses
 import json
 import threading
 import time
@@ -70,6 +71,21 @@ def test_fractional_int_rejected():
         from_dict({"version": 1, "grid_size": 128.5})
     with pytest.raises(ConfigError, match="stage2"):
         from_dict({"version": 1, "stage2": "maybe"})
+
+
+@pytest.mark.parametrize(
+    "field", [f.name for f in dataclasses.fields(Config) if f.type == "int"]
+)
+def test_infinite_int_is_a_config_error(field, tmp_path):
+    # JSON's Infinity and 1e999 both load as a float infinity
+    for value in (float("inf"), float("-inf")):
+        with pytest.raises(ConfigError, match=rf"^{field}: cannot interpret -?inf as int$"):
+            from_dict({"version": 1, field: value})
+    p = tmp_path / "cfg.json"
+    for text in ("Infinity", "1e999"):
+        p.write_text(f'{{"version": 1, "{field}": {text}}}')
+        with pytest.raises(ConfigError, match=rf"^{field}: cannot interpret inf as int$"):
+            load_config(p)
 
 
 def test_load_config_round_trip(tmp_path):

@@ -4,7 +4,10 @@ import struct
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from fresco import index as index_module
 from fresco import synth
 from fresco.config import Config
 from fresco.index import DegenerateDescriptorError, KeyframeIndex, make_key
@@ -68,6 +71,27 @@ def test_insert_requires_increasing_ids():
         idx.insert(5, _rand_desc(np.random.default_rng(5)))
     with pytest.raises(ValueError):
         idx.insert(4, _rand_desc(np.random.default_rng(6)))
+
+
+def test_insert_rejects_ids_a_frix_file_cannot_store(tmp_path):
+    rng = np.random.default_rng(21)
+    idx = KeyframeIndex(exclusion_horizon=0)
+    idx.insert(np.uint64(2), _rand_desc(rng))  # numpy integers pass
+    idx.save(tmp_path / "before.frix")
+    for bad in (3.2, 3.7, np.float64(3.0), "4", None):
+        with pytest.raises(ValueError, match="is not an integer"):
+            idx.insert(bad, _rand_desc(rng))
+    for bad in (-5, 2**64, np.int64(-1)):
+        with pytest.raises(ValueError, match="does not fit in an unsigned 64-bit integer"):
+            KeyframeIndex().insert(bad, _rand_desc(rng))
+    with pytest.raises(ValueError, match="does not fit"):
+        idx.insert(2**64, _rand_desc(rng))
+    assert idx.ids == [2] and type(idx.ids[0]) is int
+    idx.save(tmp_path / "after.frix")
+    assert (tmp_path / "after.frix").read_bytes() == (tmp_path / "before.frix").read_bytes()
+    idx.insert(2**64 - 1, _rand_desc(rng))
+    idx.save(tmp_path / "max.frix")
+    assert KeyframeIndex.load(tmp_path / "max.frix").ids == [2, 2**64 - 1]
 
 
 def test_insert_rejects_a_descriptor_of_another_shape(tmp_path):
@@ -140,6 +164,87 @@ def test_retrieve_matches_linear_scan():
     for _ in range(25):
         q = _rand_desc(rng)
         assert [fid for fid, _ in idx.retrieve(q, 20)] == linear_scan(keys, make_key(q), 20)
+
+
+def _scan(keys, horizon, query_key, k):
+    # linear_scan over the eligible keys, with the distances it ranks by
+    rows = np.array(keys[: max(0, len(keys) - horizon)]).reshape(-1, query_key.size)
+    want = linear_scan(rows, query_key, k)
+    return want, np.linalg.norm(rows - query_key, axis=1)[want].tolist()
+
+
+def test_tied_keys_rank_like_a_linear_scan_at_every_size():
+    rng = np.random.default_rng(20)
+    d, e = _rand_desc(rng), _rand_desc(rng)
+    for size in range(60, 131):  # below, at and past the first k-d tree
+        idx = KeyframeIndex(exclusion_horizon=0)
+        for i in range(size):
+            idx.insert(i, d if i % 2 else e)
+        assert idx.retrieve(d, 5) == [(i, 0.0) for i in (1, 3, 5, 7, 9)]
+        assert idx.retrieve(e, 5) == [(i, 0.0) for i in (0, 2, 4, 6, 8)]
+        keys = [make_key(d if i % 2 else e) for i in range(size)]
+        q = _rand_desc(rng)
+        want, dist = _scan(keys, 0, make_key(q), 5)
+        assert idx.retrieve(q, 5) == list(zip(want, dist))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    horizon=st.integers(0, 40),
+    inserts=st.integers(0, 220),
+    every=st.integers(1, 40),
+)
+@example(seed=0, horizon=0, inserts=220, every=1)
+def test_online_retrieval_equals_a_linear_scan(seed, horizon, inserts, every):
+    # a walk of inserts and retrieves over a few repeated descriptors, so
+    # exact ties meet the k-th place before and after k-d tree rebuilds
+    rng = np.random.default_rng(seed)
+    pool = [_rand_desc(rng) for _ in range(4)]
+
+    def draw():
+        return pool[rng.integers(4)] if rng.random() < 0.7 else _rand_desc(rng)
+
+    idx = KeyframeIndex(exclusion_horizon=horizon)
+    keys = []
+    for i in range(inserts):
+        desc = draw()
+        idx.insert(i, desc)
+        keys.append(make_key(desc))
+        if i % every == 0:
+            q, k = draw(), int(rng.integers(1, 31))
+            want, dist = _scan(keys, horizon, make_key(q), k)
+            assert idx.retrieve(q, k) == list(zip(want, dist))
+
+
+def test_the_tree_is_built_by_retrieve_over_the_eligible_keys(tmp_path, monkeypatch):
+    rng = np.random.default_rng(22)
+    src = KeyframeIndex()
+    for i in range(200):
+        src.insert(i, _rand_desc(rng))
+    src.save(tmp_path / "a.frix")
+    built, real = [], index_module.cKDTree
+
+    def counting(data):
+        built.append(np.array(data))
+        return real(data)
+
+    monkeypatch.setattr(index_module, "cKDTree", counting)
+    idx = KeyframeIndex.load(tmp_path / "a.frix", exclusion_horizon=30)
+    assert built == []
+    q = _rand_desc(rng)
+    idx.retrieve(q, 5)
+    assert len(built) == 1
+    eligible = np.array([make_key(idx.descriptor(fid)) for fid in idx.eligible_ids])
+    assert len(eligible) == 170
+    np.testing.assert_array_equal(built[0], eligible)
+    for i in range(200, 263):  # 63 eligible keys join, all outside the tree
+        idx.insert(i, _rand_desc(rng))
+        idx.match(q, 5, np.inf, np.inf)
+    assert len(built) == 1
+    idx.insert(263, _rand_desc(rng))
+    idx.retrieve(q, 5)
+    assert len(built) == 2 and len(built[1]) == 234
 
 
 def test_exclusion_horizon_hides_recent_frames():
@@ -245,7 +350,7 @@ def test_save_load_round_trip(tmp_path):
 def test_loaded_index_equals_inserting_its_float32_descriptors(tmp_path):
     rng = np.random.default_rng(19)
     idx = KeyframeIndex(exclusion_horizon=5)
-    for i in range(70):  # past one k-d tree rebuild
+    for i in range(70):  # 65 eligible keys: retrieve builds a k-d tree
         idx.insert(3 * i, _rand_desc(rng, 32, 120))
     p = tmp_path / "a.frix"
     idx.save(p)
