@@ -19,7 +19,7 @@ from fresco.cloud import PointCloud, crop_window, remove_ground
 from fresco.config import Config
 from fresco.matching import best_shift_l1
 from fresco.pipeline import describe
-from fresco.spectrum import log_spectrum, polar_unroll, save_descriptor
+from fresco.spectrum import log_spectrum, polar_unroll
 
 
 def scene_with_ground(seed: int) -> PointCloud:
@@ -33,7 +33,7 @@ def scene_with_ground(seed: int) -> PointCloud:
 
 def main() -> None:
     ap = argparse.ArgumentParser(description=__doc__)
-    ap.add_argument("--out", type=Path, default=None, help="dump BEV pgm + descriptor here")
+    ap.add_argument("--out", type=Path, default=None, help="write the BEV image as bev.pgm here")
     args = ap.parse_args()
 
     cfg = Config()
@@ -80,8 +80,7 @@ def main() -> None:
     if args.out is not None:
         args.out.mkdir(parents=True, exist_ok=True)
         write_pgm(bev, args.out / "bev.pgm")
-        save_descriptor(desc, args.out / "scene.frsc")
-        print(f"\nwrote {args.out / 'bev.pgm'} and {args.out / 'scene.frsc'}")
+        print(f"\nwrote {args.out / 'bev.pgm'}")
 
 
 if __name__ == "__main__":

@@ -13,7 +13,7 @@ import numpy as np
 from fresco import synth
 from fresco.config import Config
 from fresco.index import KeyframeIndex
-from fresco.pipeline import describe, stage1_pose
+from fresco.pipeline import compact_2d, describe_preprocessed, planar_pose, preprocess
 
 REVISITS = {60: (12, 170.0), 61: (30, 85.0), 62: (47, -15.0)}
 
@@ -34,12 +34,14 @@ def main() -> None:
         clouds.append(synth.perturb(scenes[back_to], tx=tx, ty=ty, yaw_deg=yaw))
 
     closures = 0
-    for fid, cloud in enumerate(clouds):
-        desc = describe(cloud, cfg)
+    pres = [preprocess(cloud, cfg) for cloud in clouds]  # each frame preprocessed once
+    for fid, pre in enumerate(pres):
+        desc = describe_preprocessed(pre, cfg)
         res = idx.match(desc, cfg.num_candidates, cfg.l1_threshold, cfg.cosine_threshold)
         if res.accepted:
             closures += 1
-            est = stage1_pose(cloud, clouds[res.candidate_id], res.best_shift, cfg)
+            query, candidate = (compact_2d(p, cfg) for p in (pre, pres[res.candidate_id]))
+            est = planar_pose(query, candidate, res.best_shift, cfg)
             expect = REVISITS.get(fid, (None, None))[0]
             mark = "ok" if res.candidate_id == expect else "WRONG PLACE"
             print(

@@ -70,14 +70,7 @@ from .pose import (
     refine_pose_3d,
     shift_to_rotation,
 )
-from .spectrum import (
-    descriptor_from_bytes,
-    descriptor_to_bytes,
-    load_descriptor,
-    log_spectrum,
-    polar_unroll,
-    save_descriptor,
-)
+from .spectrum import log_spectrum, polar_unroll
 from .synth import SceneSpec, generate, perturb, pillar_points, ring_points, wall_points
 
 __version__ = "0.1.0"

@@ -11,6 +11,7 @@ import argparse
 import json
 import sys
 import time
+from contextlib import contextmanager
 
 import numpy as np
 
@@ -98,6 +99,15 @@ def _load_cfg(args) -> Config:
     return validate(cfg)
 
 
+@contextmanager
+def _naming(scan):
+    """Prefix a degenerate-data error raised inside with the scan it came from."""
+    try:
+        yield
+    except (DegenerateDescriptorError, InsufficientStructureError) as exc:
+        raise type(exc)(f"{scan}: {exc}") from None
+
+
 def cmd_build(args, cfg: Config) -> int:
     dataset = load_dataset(args.dataset, args.format)
     if not dataset.scans:
@@ -107,7 +117,8 @@ def cmd_build(args, cfg: Config) -> int:
     t0 = time.perf_counter()
     descs = thread_map(lambda fid: describe(load_scan(dataset.scans[fid]), cfg), ids)
     for fid, desc in zip(ids, descs):
-        idx.insert(fid, desc)
+        with _naming(dataset.scans[fid]):
+            idx.insert(fid, desc)
     idx.save(args.out)
     dt = time.perf_counter() - t0
     print(f"indexed {len(ids)} frames in {dt:.2f} s -> {args.out}")
@@ -124,13 +135,16 @@ def cmd_query(args, cfg: Config) -> int:
                 raise ConfigError(f"{field} is {want}; {args.index} was built with {field}={have}")
     query = preprocess(load_scan(args.cloud), cfg)
     desc = describe_preprocessed(query, cfg)
-    res = idx.match(desc, cfg.num_candidates, cfg.l1_threshold, cfg.cosine_threshold)
+    with _naming(args.cloud):
+        res = idx.match(desc, cfg.num_candidates, cfg.l1_threshold, cfg.cosine_threshold)
     pose = None
     if res.accepted and args.dataset:
         dataset = load_dataset(args.dataset, args.format)
         if res.candidate_id in dataset.scans:
-            candidate = preprocess(load_scan(dataset.scans[res.candidate_id]), cfg)
-            est = relative_pose(query, candidate, res.best_shift, cfg)
+            path = dataset.scans[res.candidate_id]
+            candidate = preprocess(load_scan(path), cfg)
+            with _naming(f"{args.cloud} against {path}"):
+                est = relative_pose(query, candidate, res.best_shift, cfg)
             pose = pose_fields(est)
     out = {
         "match": res.candidate_id if res.accepted else None,

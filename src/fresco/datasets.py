@@ -58,9 +58,6 @@ class Dataset:
     poses: list[TrajectoryPose] | None
     planar_axes: tuple[int, int]  # world axes spanning the driving plane
 
-    def pose_by_id(self) -> dict[int, TrajectoryPose]:
-        return {} if self.poses is None else {p.frame_id: p for p in self.poses}
-
 
 def load_scan(path) -> PointCloud:
     """Read one scan file, dispatching on suffix in any case; stem becomes the frame id."""

@@ -20,7 +20,7 @@ import numpy as np
 
 from . import pipeline
 from .cloud import FormatError
-from .config import Config, thread_map, to_dict
+from .config import Config, to_dict
 from .datasets import Dataset, TrajectoryPose, load_scan
 from .index import DegenerateDescriptorError, KeyframeIndex
 from .pipeline import preprocess, relative_pose
@@ -302,7 +302,10 @@ def run_evaluation(
 
     Produces pr_curve.csv, matches.csv, poses.csv, report.json and
     optionally trajectory.svg under ``out_dir``, and returns the report as
-    a dictionary.  Scan loading is excluded from the phase timings.
+    a dictionary.  Each keyframe's scan is read and preprocessed once; that
+    cloud gives its descriptor and, for an accepted match, the query side of
+    its pose, so only the candidate is read again.  Scan loading is excluded
+    from the phase timings.
     """
     if dataset.poses is None:
         raise FormatError(
@@ -322,18 +325,6 @@ def run_evaluation(
     say(f"{len(kf)} keyframes from {len(dataset.poses)} poses")
 
     timer = PhaseTimer()
-
-    def compute_descriptor(fid: int):
-        cloud = load_scan(dataset.scans[fid])  # IO outside the timed region
-        t0 = time.perf_counter()
-        # looked up through the module, so a wrapper installed there sees the call
-        return pipeline.describe(cloud, cfg), time.perf_counter() - t0
-
-    descs = []
-    for desc, seconds in thread_map(compute_descriptor, kf):
-        timer.add("descriptor", seconds)
-        descs.append(desc)
-
     kf_pos = np.array([positions[fid] for fid in kf]) if kf else np.zeros((0, 3))
 
     idx = KeyframeIndex(exclusion_horizon=cfg.exclusion_horizon)
@@ -348,7 +339,12 @@ def run_evaluation(
 
     degenerate_frames = 0
     for pos, fid in enumerate(kf):
-        desc = descs[pos]
+        scan = load_scan(dataset.scans[fid])  # IO outside the timed region
+        with timer.phase("descriptor"):
+            query = preprocess(scan, cfg)
+            # looked up through the module, so a wrapper installed there sees the call
+            desc = pipeline.describe_preprocessed(query, cfg)
+        del scan  # not needed past here; holding it through the pose raises peak memory
         try:
             with timer.phase("retrieval"):
                 res = idx.match(desc, cfg.num_candidates, cfg.l1_threshold, cfg.cosine_threshold)
@@ -376,7 +372,7 @@ def run_evaluation(
             continue
         cand = res.candidate_id
         try:
-            query, candidate = (preprocess(load_scan(dataset.scans[f]), cfg) for f in (fid, cand))
+            candidate = preprocess(load_scan(dataset.scans[cand]), cfg)
             est3 = relative_pose(query, candidate, res.best_shift, cfg, timer.phase)
         except InsufficientStructureError:
             est3 = Se3Pose(np.nan, np.nan, np.nan, np.nan, np.nan, np.nan)

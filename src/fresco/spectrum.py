@@ -7,15 +7,8 @@ turns scene rotation into a circular column shift of the descriptor.
 
 from __future__ import annotations
 
-import struct
-from pathlib import Path
-
 import numpy as np
 from scipy.ndimage import map_coordinates
-
-from .cloud import FormatError
-
-_MAGIC = b"FRSC"
 
 
 def log_spectrum(image) -> np.ndarray:
@@ -66,33 +59,3 @@ def polar_unroll(
     rows = center + radii[:, None] * np.cos(theta)[None, :]
     cols = center + radii[:, None] * np.sin(theta)[None, :]
     return map_coordinates(mag, [rows, cols], order=1, mode="grid-constant", cval=0.0)
-
-
-def descriptor_to_bytes(desc: np.ndarray) -> bytes:
-    """Serialize a descriptor: magic, u32 row/column counts, row-major float32."""
-    desc = np.asarray(desc)
-    if desc.ndim != 2:
-        raise ValueError("descriptor must be 2D")
-    header = _MAGIC + struct.pack("<II", desc.shape[0], desc.shape[1])
-    return header + np.ascontiguousarray(desc, dtype="<f4").tobytes()
-
-
-def descriptor_from_bytes(buf: bytes) -> np.ndarray:
-    if len(buf) < 12 or buf[:4] != _MAGIC:
-        raise FormatError("not a descriptor blob: bad magic")
-    rows, cols = struct.unpack("<II", buf[4:12])
-    expect = 12 + 4 * rows * cols
-    if len(buf) != expect:
-        raise FormatError(f"descriptor blob length {len(buf)}, expected {expect}")
-    data = np.frombuffer(buf, dtype="<f4", offset=12)
-    if not np.isfinite(data).all():  # checked before the cast, which NaN payloads trip
-        raise FormatError("descriptor blob has a non-finite value")
-    return data.astype(np.float64).reshape(rows, cols)
-
-
-def save_descriptor(desc: np.ndarray, path) -> None:
-    Path(path).write_bytes(descriptor_to_bytes(desc))
-
-
-def load_descriptor(path) -> np.ndarray:
-    return descriptor_from_bytes(Path(path).read_bytes())

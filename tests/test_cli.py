@@ -373,7 +373,23 @@ def test_all_ground_scan_is_degenerate(places, tmp_path, capsys):
     scan = tmp_path / "000901.bin"
     write_bin(scan, plane)
     assert main(["query", str(scan), "--index", str(index)]) == 3
-    assert "degenerate" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "degenerate" in err and str(scan) in err
+
+
+def test_build_names_the_scan_with_a_degenerate_descriptor(places, tmp_path, capsys):
+    root, _, _ = places
+    data = tmp_path / "data"
+    data.mkdir()
+    for i in range(3):
+        (data / f"{i:06d}.bin").write_bytes((root / f"{i:06d}.bin").read_bytes())
+    (data / "000003.bin").write_bytes(b"")
+    out_path = tmp_path / "bad.frix"
+    assert main(["build", "--dataset", str(data), "--out", str(out_path)]) == 3
+    err = capsys.readouterr().err
+    assert "degenerate" in err and "000003.bin" in err
+    assert "Traceback" not in err
+    assert not out_path.exists()
 
 
 def test_selftest_passes_and_is_deterministic(capsys):

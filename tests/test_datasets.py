@@ -145,7 +145,8 @@ def test_generic_dataset_layout(tmp_path):
     assert list(ds.scans) == [0, 2, 5]
     assert ds.planar_axes == (0, 1)
     assert len(ds.poses) == 3
-    assert ds.pose_by_id()[5].position[0] == 2.0
+    assert [p.frame_id for p in ds.poses] == [0, 2, 5]
+    assert ds.poses[2].position[0] == 2.0
 
 
 def test_generic_dataset_without_poses(tmp_path):

@@ -382,7 +382,8 @@ def test_run_evaluation_labels_against_what_the_index_could_return(tmp_path):
 
 
 def test_run_evaluation_describes_through_the_pipeline_module(tmp_path, monkeypatch):
-    """A wrapper installed on ``fresco.pipeline.describe`` sees every keyframe."""
+    """A wrapper installed on ``fresco.pipeline.describe_preprocessed`` sees
+    every keyframe exactly once."""
     from fresco import pipeline, synth
     from fresco.config import Config
     from fresco.datasets import load_dataset
@@ -398,13 +399,44 @@ def test_run_evaluation_describes_through_the_pipeline_module(tmp_path, monkeypa
         "frame,x,y,z,yaw_deg\n" + "".join(f"{i},{2.0 * i},0.0,0.0,0.0\n" for i in range(4))
     )
     described = []
-    true_describe = pipeline.describe
+    true_describe = pipeline.describe_preprocessed
 
-    def recording(cloud, cfg):
-        described.append(cloud.frame_id)
-        return true_describe(cloud, cfg)
+    def recording(pre, cfg):
+        described.append(pre.frame_id)
+        return true_describe(pre, cfg)
 
-    monkeypatch.setattr(pipeline, "describe", recording)
+    monkeypatch.setattr(pipeline, "describe_preprocessed", recording)
     report = run_evaluation(load_dataset(root, "generic"), Config(), tmp_path / "out")
     assert report["dataset"]["keyframes"] == 4
     assert sorted(described) == [0, 1, 2, 3]
+
+
+def test_run_evaluation_preprocesses_each_keyframe_once_plus_once_per_candidate(
+    trip_dataset, monkeypatch, tmp_path
+):
+    """A keyframe's one preprocessed cloud serves its descriptor and the query
+    side of its pose; only the candidate of each pose is preprocessed again."""
+    from collections import Counter
+
+    import fresco.evaluate as evaluate
+    import fresco.pipeline as pipeline
+    from fresco.config import Config
+    from fresco.datasets import load_dataset
+
+    seen = []
+    true_preprocess = pipeline.preprocess
+
+    def recording(cloud, cfg):
+        seen.append(cloud.frame_id)
+        return true_preprocess(cloud, cfg)
+
+    monkeypatch.setattr(pipeline, "preprocess", recording)
+    monkeypatch.setattr(evaluate, "preprocess", recording)
+    dataset = load_dataset(trip_dataset, "generic")
+    cfg = Config(exclusion_horizon=5)
+    evaluate.run_evaluation(dataset, cfg, tmp_path)
+    with open(tmp_path / "poses.csv") as fh:
+        candidates = [int(r["match"]) for r in csv.DictReader(fh)]
+    assert candidates  # the return leg poses against the outbound keyframes
+    keyframes = sample_keyframes(dataset.poses, cfg.keyframe_spacing_m)
+    assert Counter(seen) == Counter(keyframes + candidates)

@@ -12,7 +12,6 @@ from hypothesis import strategies as st
 from fresco.cloud import FormatError, PointCloud, load_ascii_cloud, load_kitti_bin
 from fresco.datasets import load_generic_poses, load_kitti_poses
 from fresco.index import KeyframeIndex
-from fresco.spectrum import descriptor_from_bytes, descriptor_to_bytes
 
 ROWS, COLS, COUNT = 8, 12, 3
 # byte ranges of a COUNT-entry FRIX file: header, u64 ids, f32 descriptors
@@ -54,17 +53,6 @@ def _load(path, raw: bytes):
     return idx
 
 
-def _parse_blob(raw: bytes):
-    try:
-        desc = descriptor_from_bytes(raw)
-    except FormatError:
-        return None
-    assert desc.ndim == 2
-    assert np.isfinite(desc).all()
-    assert descriptor_to_bytes(desc) == raw
-    return desc
-
-
 def _flip(raw: bytes, flips) -> bytes:
     out = bytearray(raw)
     for at, mask in flips:
@@ -84,14 +72,6 @@ def _frix_shaped(draw):
     size = count * (8 + 4 * rows * cols)
     body = draw(st.binary(min_size=size, max_size=size))
     return b"FRIX" + struct.pack("<IIIQ", 2, rows, cols, count) + body
-
-
-@st.composite
-def _blob_shaped(draw):
-    """A blob header of small geometry and a body of exactly the length it asks for."""
-    rows, cols = draw(st.integers(0, 4)), draw(st.integers(0, 4))
-    body = draw(st.binary(min_size=4 * rows * cols, max_size=4 * rows * cols))
-    return b"FRSC" + struct.pack("<II", rows, cols) + body
 
 
 def test_load_rejects_every_truncation(frix, scratch):
@@ -123,33 +103,6 @@ def test_load_survives_flipped_bytes(frix, scratch, region, data):
 )
 def test_load_survives_random_bytes(scratch, raw):
     _load(scratch, raw)
-
-
-def test_blob_rejects_every_truncation():
-    blob = descriptor_to_bytes(np.random.default_rng(31).uniform(0.1, 4.0, (ROWS, COLS)))
-    assert _parse_blob(blob) is not None
-    for end in range(len(blob)):
-        with pytest.raises(FormatError):
-            descriptor_from_bytes(blob[:end])
-
-
-@settings(max_examples=200, deadline=None)
-@given(data=st.data())
-def test_blob_survives_flipped_bytes(data):
-    blob = descriptor_to_bytes(np.random.default_rng(31).uniform(0.1, 4.0, (ROWS, COLS)))
-    _parse_blob(_flip(blob, _flips(data, 0, len(blob))))
-
-
-@settings(max_examples=300, deadline=None)
-@given(
-    st.one_of(
-        st.binary(max_size=512),
-        st.binary(max_size=512).map(lambda b: b"FRSC" + b),
-        _blob_shaped(),
-    )
-)
-def test_blob_survives_random_bytes(raw):
-    _parse_blob(raw)
 
 
 # float32 bit patterns that are not finite: quiet and signalling NaNs of

@@ -9,12 +9,12 @@ from hypothesis import strategies as st
 
 from fresco import index as index_module
 from fresco import synth
+from fresco.cloud import FormatError
 from fresco.config import Config
 from fresco.index import DegenerateDescriptorError, KeyframeIndex, make_key
 from fresco.matching import best_shift_l1
 from fresco.pipeline import describe
 from fresco.properties import linear_scan
-from fresco.spectrum import FormatError
 
 
 def _rand_desc(rng, rows=8, cols=12):

@@ -8,15 +8,7 @@ from fresco import synth
 from fresco.bev import make_bev
 from fresco.cloud import PointCloud
 from fresco.properties import TRANSLATION_RTOL, half_periodic, translation_deviation
-from fresco.spectrum import (
-    FormatError,
-    descriptor_from_bytes,
-    descriptor_to_bytes,
-    load_descriptor,
-    log_spectrum,
-    polar_unroll,
-    save_descriptor,
-)
+from fresco.spectrum import log_spectrum, polar_unroll
 
 
 def _dft_magnitude(img: np.ndarray) -> np.ndarray:
@@ -173,35 +165,3 @@ def test_polar_parameter_validation():
         polar_unroll(spec, radial_bins=0)
     with pytest.raises(ValueError):
         polar_unroll(spec, angular_bins=121)
-
-
-def test_blob_round_trip(tmp_path):
-    rng = np.random.default_rng(16)
-    desc = rng.uniform(0, 8, (32, 120)).astype(np.float32).astype(np.float64)
-    back = descriptor_from_bytes(descriptor_to_bytes(desc))
-    np.testing.assert_array_equal(back, desc)
-    p = tmp_path / "d.frsc"
-    save_descriptor(desc, p)
-    np.testing.assert_array_equal(load_descriptor(p), desc)
-
-
-def test_blob_rejects_bad_magic():
-    with pytest.raises(FormatError, match="magic"):
-        descriptor_from_bytes(b"XXXX" + b"\x00" * 20)
-
-
-def test_blob_rejects_wrong_length():
-    blob = descriptor_to_bytes(np.zeros((4, 6)))
-    with pytest.raises(FormatError, match="length"):
-        descriptor_from_bytes(blob[:-4])
-    with pytest.raises(FormatError, match="length"):
-        descriptor_from_bytes(blob + b"\x00")
-
-
-@pytest.mark.parametrize("bits", [0x7FC00000, 0x7F800001, 0xFFBFFFFF, 0x7F800000, 0xFF800000])
-def test_blob_rejects_non_finite_values_without_a_cast_warning(bits):
-    blob = bytearray(descriptor_to_bytes(np.ones((2, 4))))
-    blob[12 + 4 * 5 : 12 + 4 * 6] = np.array([bits], dtype="<u4").tobytes()
-    # a RuntimeWarning from the float32 -> float64 cast would fail the test run
-    with pytest.raises(FormatError, match="non-finite"):
-        descriptor_from_bytes(bytes(blob))
