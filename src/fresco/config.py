@@ -46,6 +46,11 @@ class Config:
 _FIELDS = {f.name: f for f in dataclasses.fields(Config)}
 _LENGTHS_M = ("window_m", "ground_cell_m", "ground_margin_m", "coarse_grid_m", "voxel_m",
               "nicp_gate_start_m")  # finite; the thresholds may be inf, meaning no gate
+# Every grid is laid over the window_m crop, so window_m / cell bounds its side.
+# Ground removal and compaction allocate dense per-cell arrays, up to
+# MAX_GRID_SIDE**2 (about 4.2e6) cells.
+MAX_GRID_SIDE = 2048
+_CELLS_M = ("ground_cell_m", "coarse_grid_m", "voxel_m")
 
 
 def validate(cfg: Config) -> Config:
@@ -53,6 +58,9 @@ def validate(cfg: Config) -> Config:
     checks = [
         ("version", cfg.version == 1, "must be 1"),
         *((f, 0 < getattr(cfg, f) < math.inf, "must be positive and finite") for f in _LENGTHS_M),
+        # a product, not a quotient: a zero cell is named by the check above
+        *((f, cfg.window_m <= MAX_GRID_SIDE * getattr(cfg, f),
+           f"must be at least window_m / {MAX_GRID_SIDE}") for f in _CELLS_M),
         ("grid_size", cfg.grid_size >= 8, "must be at least 8"),
         ("crop_size", 2 <= cfg.crop_size <= cfg.grid_size, "must lie in [2, grid_size]"),
         ("crop_size", cfg.crop_size % 2 == 0, "must be even"),

@@ -71,7 +71,11 @@ def label_match(
 
 @dataclass(frozen=True)
 class QueryRecord:
-    """Scores and ground truth for one query, enough to sweep thresholds."""
+    """One query's outcome.  The first six fields are the scores and ground
+    truth a threshold sweep needs; ``shift`` is the best candidate's column
+    shift, ``label`` the query's TP / FP / FN / TN label at the configured
+    thresholds, and ``pose`` the relative pose of an accepted match (NaN when
+    its scans lacked structure; ``None`` when nothing was accepted)."""
 
     query_id: int
     candidate_id: int | None
@@ -79,6 +83,9 @@ class QueryRecord:
     d_r: float
     correct: bool  # candidate lies within the TP radius of the query
     has_positive: bool  # an eligible prior keyframe lies within the radius
+    shift: int = 0
+    label: str | None = None
+    pose: Se3Pose | None = None
 
 
 @dataclass(frozen=True)
@@ -262,8 +269,18 @@ def trajectory_svg(path_xy, tp_segments, fp_segments, out_path, size: float = 80
     Path(out_path).write_text("\n".join(lines) + "\n")
 
 
-def _fmt(v) -> str:
-    return repr(float(v))
+def _write_csv(path: Path, header, rows) -> None:
+    """One comma-joined line per row under ``header``: floats as ``repr``,
+    flags as 0 / 1, None as an empty cell."""
+
+    def cell(v) -> str:
+        if v is None:
+            return ""
+        if isinstance(v, bool):
+            return str(int(v))
+        return repr(float(v)) if isinstance(v, (float, np.floating)) else str(v)
+
+    path.write_text("".join(",".join(map(cell, row)) + "\n" for row in [header, *rows]))
 
 
 POSE_FIELDS = (
@@ -325,20 +342,10 @@ def run_evaluation(
     say(f"{len(kf)} keyframes from {len(dataset.poses)} poses")
 
     timer = PhaseTimer()
-    kf_pos = np.array([positions[fid] for fid in kf]) if kf else np.zeros((0, 3))
-
     idx = KeyframeIndex(exclusion_horizon=cfg.exclusion_horizon)
     records: list[QueryRecord] = []
-    match_rows: list[str] = []
-    pose_rows: list[str] = []
-    tp_estimates: list[Se3Pose] = []
-    tp_ground_truth: list[np.ndarray] = []
-    tp_segments: list[tuple] = []
-    fp_segments: list[tuple] = []
-    ax = list(dataset.planar_axes)
-
     degenerate_frames = 0
-    for pos, fid in enumerate(kf):
+    for done, fid in enumerate(kf, 1):
         scan = load_scan(dataset.scans[fid])  # IO outside the timed region
         with timer.phase("descriptor"):
             query = preprocess(scan, cfg)
@@ -352,62 +359,48 @@ def run_evaluation(
             # structure-free frame: flagged and left out of the index
             degenerate_frames += 1
             say(f"warning: frame {fid} has a degenerate descriptor; skipped")
-            continue
-        eligible = idx.eligible_ids
-        missed = label_match(fid, None, positions, cfg.tp_radius_m, eligible)
-        found = None if res.candidate_id is None else label_match(
-            fid, res.candidate_id, positions, cfg.tp_radius_m, eligible
-        )
-        records.append(
-            QueryRecord(fid, res.candidate_id, res.d_l1, res.d_r, found == "TP", missed == "FN")
-        )
-        label = found if res.accepted else missed
-        match_rows.append(
-            f"{fid},{'' if res.candidate_id is None else res.candidate_id},"
-            f"{_fmt(res.d_l1)},{_fmt(res.d_r)},{res.best_shift},{label}"
-        )
-        idx.insert(fid, desc)
-
-        if not res.accepted:
-            continue
-        cand = res.candidate_id
-        try:
-            candidate = preprocess(load_scan(dataset.scans[cand]), cfg)
-            est3 = relative_pose(query, candidate, res.best_shift, cfg, timer.phase)
-        except InsufficientStructureError:
-            est3 = Se3Pose(np.nan, np.nan, np.nan, np.nan, np.nan, np.nan)
-        cells = [int(v) if isinstance(v, bool) else _fmt(v) for v in pose_fields(est3).values()]
-        pose_rows.append(",".join(map(str, [fid, cand, *cells])))
-        seg = (kf_pos[pos][ax], positions[cand][ax])
-        if label == "TP":
-            gt_rel = np.linalg.inv(matrices[cand]) @ matrices[fid]
-            tp_estimates.append(est3)
-            tp_ground_truth.append(gt_rel)
-            tp_segments.append(seg)
         else:
-            fp_segments.append(seg)
-        if log is not None and (pos + 1) % 200 == 0:
-            say(f"  {pos + 1}/{len(kf)} keyframes")
+            eligible = idx.eligible_ids
+            missed = label_match(fid, None, positions, cfg.tp_radius_m, eligible)
+            found = None if res.candidate_id is None else label_match(
+                fid, res.candidate_id, positions, cfg.tp_radius_m, eligible
+            )
+            idx.insert(fid, desc)
+            est3 = None
+            if res.accepted:
+                try:
+                    candidate = preprocess(load_scan(dataset.scans[res.candidate_id]), cfg)
+                    est3 = relative_pose(query, candidate, res.best_shift, cfg, timer.phase)
+                except InsufficientStructureError:
+                    est3 = Se3Pose(np.nan, np.nan, np.nan, np.nan, np.nan, np.nan)
+            records.append(QueryRecord(
+                fid, res.candidate_id, res.d_l1, res.d_r, found == "TP", missed == "FN",
+                res.best_shift, found if res.accepted else missed, est3,
+            ))
+        if done % 200 == 0:
+            say(f"  {done}/{len(kf)} keyframes")
 
     sweep = pr_sweep(records, cfg.cosine_threshold)
-    stats = pose_metrics(tp_estimates, tp_ground_truth) if tp_estimates else None
+    posed = [r for r in records if r.pose is not None]
+    tps = [r for r in posed if r.label == "TP"]
+    gt = [np.linalg.inv(matrices[r.candidate_id]) @ matrices[r.query_id] for r in tps]
+    stats = pose_metrics([r.pose for r in tps], gt) if tps else None
 
-    (out_dir / "pr_curve.csv").write_text(
-        "threshold,precision,recall,f1\n"
-        + "".join(
-            f"{_fmt(p.threshold)},{_fmt(p.precision)},{_fmt(p.recall)},{_fmt(p.f1)}\n"
-            for p in sweep.points
-        )
-    )
-    (out_dir / "matches.csv").write_text(
-        "query,match,d_l1,d_r,shift,label\n" + "".join(r + "\n" for r in match_rows)
-    )
-    (out_dir / "poses.csv").write_text(
-        ",".join(["query", "match", *POSE_FIELDS]) + "\n"
-        + "".join(r + "\n" for r in pose_rows)
-    )
+    _write_csv(out_dir / "pr_curve.csv", ("threshold", "precision", "recall", "f1"),
+               [(p.threshold, p.precision, p.recall, p.f1) for p in sweep.points])
+    _write_csv(out_dir / "matches.csv", ("query", "match", "d_l1", "d_r", "shift", "label"),
+               [(r.query_id, r.candidate_id, r.d_l1, r.d_r, r.shift, r.label) for r in records])
+    _write_csv(out_dir / "poses.csv", ("query", "match", *POSE_FIELDS),
+               [(r.query_id, r.candidate_id, *pose_fields(r.pose).values()) for r in posed])
     if svg:
-        trajectory_svg(kf_pos[:, ax], tp_segments, fp_segments, out_dir / "trajectory.svg")
+        ax = list(dataset.planar_axes)
+        chords = {
+            label: [(positions[r.query_id][ax], positions[r.candidate_id][ax])
+                    for r in posed if r.label == label]
+            for label in ("TP", "FP")
+        }
+        trajectory_svg([positions[fid][ax] for fid in kf], chords["TP"], chords["FP"],
+                       out_dir / "trajectory.svg")
 
     report = {
         "dataset": {

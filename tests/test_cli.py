@@ -227,6 +227,16 @@ def test_non_finite_geometry_is_a_config_error(places, tmp_path, capsys):
     assert not (tmp_path / "x.frix").exists()
 
 
+@pytest.mark.parametrize("field", ["ground_cell_m", "coarse_grid_m", "voxel_m"])
+def test_grid_cell_too_fine_for_the_window_is_a_config_error(tmp_path, capsys, field):
+    # the dataset is absent: an accepted config would exit 2 before any scan is read
+    code = main(["eval", "--dataset", str(tmp_path / "absent"), "--out", str(tmp_path / "out"),
+                 "--set", f"{field}=1e-300"])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert f"{field} must be at least window_m / " in err and "Traceback" not in err
+
+
 @pytest.mark.parametrize("text", ["Infinity", "1e999"])
 def test_infinite_int_in_a_config_file_is_a_config_error(tmp_path, capsys, text):
     cfg = tmp_path / "cfg.json"

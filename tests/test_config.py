@@ -8,6 +8,7 @@ import time
 import pytest
 
 from fresco.config import (
+    MAX_GRID_SIDE,
     Config,
     ConfigError,
     apply_overrides,
@@ -48,6 +49,25 @@ def test_validation_names_the_field():
 def test_geometry_fields_must_be_finite(field):
     with pytest.raises(ConfigError, match=rf"^{field} .*\(got inf\)"):
         from_dict({"version": 1, field: "inf"})
+
+
+@pytest.mark.parametrize("field", ["ground_cell_m", "coarse_grid_m", "voxel_m"])
+@pytest.mark.parametrize("value", ["1e-300", "0.001", str(80.0 / MAX_GRID_SIDE * 0.999)])
+def test_grid_cells_too_fine_for_the_window_are_rejected(field, value):
+    # validated only: these values would make the pipeline allocate
+    # window_m / cell cells per side, or cast every point to one voxel
+    why = rf"^{field} must be at least window_m / {MAX_GRID_SIDE} "
+    with pytest.raises(ConfigError, match=why):
+        from_dict({"version": 1, field: value})
+
+
+@pytest.mark.parametrize("field", ["ground_cell_m", "coarse_grid_m", "voxel_m"])
+def test_grid_cell_bound_scales_with_the_window(field):
+    finest = 80.0 / MAX_GRID_SIDE
+    assert getattr(from_dict({"version": 1, field: finest}), field) == finest
+    with pytest.raises(ConfigError, match=rf"^{field} "):
+        from_dict({"version": 1, "window_m": 160.0, field: finest})
+    from_dict({"version": 1, "window_m": 40.0, field: finest / 2})
 
 
 def test_thresholds_and_spacings_accept_inf():

@@ -440,3 +440,77 @@ def test_run_evaluation_preprocesses_each_keyframe_once_plus_once_per_candidate(
     assert candidates  # the return leg poses against the outbound keyframes
     keyframes = sample_keyframes(dataset.poses, cfg.keyframe_spacing_m)
     assert Counter(seen) == Counter(keyframes + candidates)
+
+
+@pytest.mark.parametrize("degenerate_200th", [False, True])
+def test_run_evaluation_logs_progress_every_200_keyframes(tmp_path, degenerate_200th):
+    """The progress line does not depend on the 200th keyframe's outcome:
+    here nothing is ever eligible, so no match is accepted."""
+    from fresco import synth
+    from fresco.config import Config
+    from fresco.datasets import load_dataset
+    from fresco.evaluate import run_evaluation
+    from conftest import write_bin
+
+    root = tmp_path / "route"
+    root.mkdir()
+    xyz = synth.generate(synth.SceneSpec(seed=960, pillars=10, walls=2, rings=0,
+                                         range_limit=30.0)).xyz
+    for i in range(201):
+        empty = degenerate_200th and i == 199
+        write_bin(root / f"{i:06d}.bin", np.zeros((0, 3)) if empty else xyz)
+    (root / "poses.csv").write_text(
+        "frame,x,y,z,yaw_deg\n" + "".join(f"{i},{2.0 * i},0.0,0.0,0.0\n" for i in range(201))
+    )
+    lines = []
+    report = run_evaluation(load_dataset(root, "generic"), Config(exclusion_horizon=1000),
+                            tmp_path / "out", log=lines.append)
+    assert report["dataset"]["keyframes"] == 201
+    assert report["dataset"]["degenerate_frames"] == int(degenerate_200th)
+    assert report["pr"]["tp"] + report["pr"]["fp"] == 0
+    assert [m for m in lines if m.endswith(" keyframes") and "/" in m] == ["  200/201 keyframes"]
+
+
+def test_run_evaluation_writes_a_nan_pose_for_a_structureless_match(tmp_path):
+    """A revisit of a scan too sparse to register is an accepted TP with a
+    NaN pose: it counts against the success rate, not in the error means."""
+    from fresco import synth
+    from fresco.config import Config
+    from fresco.datasets import load_dataset
+    from fresco.evaluate import run_evaluation
+    from conftest import write_bin
+
+    scene = synth.generate(synth.SceneSpec(seed=970, pillars=14, walls=4, rings=2,
+                                           range_limit=30.0)).xyz
+    # six returns, one per ground cell: a descriptor, but under ten structure points
+    sparse = np.array([[3.0, 1.0], [-6.0, 4.0], [9.0, -7.0], [-2.0, -11.0], [14.0, 5.0],
+                       [-15.0, -3.0]])
+    sparse = np.column_stack([sparse, np.full(len(sparse), 1.5)])
+    # scene, sparse, then each revisited unchanged from the same place
+    root = tmp_path / "route"
+    root.mkdir()
+    for i, xyz in enumerate([scene, sparse, scene, sparse]):
+        write_bin(root / f"{i:06d}.bin", xyz)
+    (root / "poses.csv").write_text(
+        "frame,x,y,z,yaw_deg\n" + "".join(f"{i},{30.0 * (i % 2)},0.0,0.0,0.0\n" for i in range(4))
+    )
+    report = run_evaluation(load_dataset(root, "generic"), Config(exclusion_horizon=0),
+                            tmp_path / "out")
+
+    with open(tmp_path / "out" / "matches.csv") as fh:
+        labels = {int(r["query"]): (r["match"], r["label"]) for r in csv.DictReader(fh)}
+    assert labels[2] == ("0", "TP") and labels[3] == ("1", "TP")
+    with open(tmp_path / "out" / "poses.csv") as fh:
+        rows = {int(r["query"]): r for r in csv.DictReader(fh)}
+    assert sorted(rows) == [2, 3]
+    nan_row = rows[3]
+    assert all(nan_row[f] == "nan" for f in POSE_FIELDS[:6])
+    assert (nan_row["mse"], nan_row["converged"], nan_row["success"]) == ("inf", "0", "0")
+    assert rows[2]["success"] == "1"
+
+    pose = report["pose"]
+    assert pose["count"] == 2
+    assert pose["success_rate"] == 0.5
+    # the finite pose alone: an unchanged revisit registers to the identity
+    assert np.isfinite(pose["rte_mean_m"]) and pose["rte_mean_m"] < 0.05
+    assert pose["rte_std_m"] == 0.0 and pose["rre_std_deg"] == 0.0
