@@ -47,9 +47,9 @@ def main() -> None:
           f"({len(cropped) - len(cleaned)} ground returns dropped)")
 
     bev = make_bev(cleaned, cfg.window_m, cfg.grid_size)
-    occupied = int((bev.data > 0).sum())
+    occupied = int((bev > 0).sum())
     print(f"bird's-eye grid: {cfg.grid_size}x{cfg.grid_size} cells, "
-          f"{occupied} occupied, max height-encoded value {bev.data.max():.2f}")
+          f"{occupied} occupied, max height-encoded value {bev.max():.2f}")
 
     mag = log_spectrum(bev)
     print(f"log magnitude spectrum: {mag.shape[0]}x{mag.shape[1]}, "

@@ -2,25 +2,16 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 from .cloud import PointCloud, Z_MAX, Z_MIN
+from .config import Config
 
 # Heights are stored relative to the Z_MIN floor so that an empty bin (0)
 # sits below every real return.
 HEIGHT_OFFSET = -Z_MIN
-
-
-@dataclass
-class BevImage:
-    """Square height image; entry 0 means no return fell in that bin."""
-
-    data: np.ndarray
-    window_m: float
-    grid_size: int
 
 
 def _round_half_away(v: np.ndarray) -> np.ndarray:
@@ -51,11 +42,14 @@ def bin_index(x: float, y: float, window_m: float, grid_size: int) -> tuple[int,
     return int(r), int(c)
 
 
-def make_bev(cloud: PointCloud, window_m: float = 80.0, grid_size: int = 128) -> BevImage:
+def make_bev(
+    cloud: PointCloud, window_m: float = Config.window_m, grid_size: int = Config.grid_size
+) -> np.ndarray:
     """Project a cloud to a top-down max-height image.
 
-    Points outside the window or the [Z_MIN, Z_MAX] band are ignored.  Each
-    bin holds max(z) - Z_MIN over its points, so all entries are >= 0.
+    Returns a (grid_size, grid_size) float array.  Points outside the window
+    or the [Z_MIN, Z_MAX] band are ignored.  Each bin holds max(z) - Z_MIN
+    over its points, so all entries are >= 0 and 0 means no return fell there.
     """
     if window_m <= 0:
         raise ValueError("window_m must be positive")
@@ -70,11 +64,13 @@ def make_bev(cloud: PointCloud, window_m: float = 80.0, grid_size: int = 128) ->
     if len(z):
         r, c = _bin_indices(x, y, window_m, grid_size)
         np.maximum.at(data, r * grid_size + c, z + HEIGHT_OFFSET)
-    return BevImage(data.reshape(grid_size, grid_size), window_m, grid_size)
+    return data.reshape(grid_size, grid_size)
 
 
-def write_pgm(bev: BevImage, path) -> None:
-    """Debug dump as a 16-bit PGM, heights scaled to millimeters."""
-    mm = np.clip(_round_half_away(bev.data * 1000.0), 0, 65535).astype(">u2")
-    header = f"P5\n{bev.grid_size} {bev.grid_size}\n65535\n".encode("ascii")
+def write_pgm(image: np.ndarray, path) -> None:
+    """Debug dump of a height image as a 16-bit PGM, heights scaled to
+    millimeters; width and height are read from the image's shape."""
+    rows, cols = image.shape
+    mm = np.clip(_round_half_away(image * 1000.0), 0, 65535).astype(">u2")
+    header = f"P5\n{cols} {rows}\n65535\n".encode("ascii")
     Path(path).write_bytes(header + mm.tobytes())

@@ -7,6 +7,8 @@ from pathlib import Path
 
 import numpy as np
 
+from .config import Config
+
 # Sensor-frame height band in meters; returns outside it are spurious
 # (below-ground reflections or airborne noise) and are discarded before
 # any other processing.
@@ -195,7 +197,11 @@ def _neighbor_median(grid: np.ndarray, cells: np.ndarray) -> np.ndarray:
     return (near[rows, (k - 1) // 2] + near[rows, k // 2]) / 2.0
 
 
-def remove_ground(cloud: PointCloud, cell_m: float = 1.0, z_margin: float = 0.3) -> PointCloud:
+def remove_ground(
+    cloud: PointCloud,
+    cell_m: float = Config.ground_cell_m,
+    z_margin: float = Config.ground_margin_m,
+) -> PointCloud:
     """Drop ground returns using per-cell minimum heights.
 
     The x-y plane is gridded into ``cell_m`` cells.  A cell's bottom band
@@ -205,10 +211,10 @@ def remove_ground(cloud: PointCloud, cell_m: float = 1.0, z_margin: float = 0.3)
     repeats while the new bottom band still qualifies.  The stop condition of
     that loop is exactly the entry condition of a fresh application, so the
     filter is idempotent.  Vertically continuous structure never qualifies
-    and is left whole.  Cells with one or two points borrow the median
-    pre-peel floor height of peeled 8-neighbors; without such a donor they
-    are left untouched.  Outlier returns outside [Z_MIN, Z_MAX] are discarded
-    first.
+    and is left whole.  Cells with fewer points than that three-point support
+    can never be peeled on their own; they borrow the median pre-peel floor
+    height of peeled 8-neighbors, and without such a donor they are left
+    untouched.  Outlier returns outside [Z_MIN, Z_MAX] are discarded first.
 
     The first peel pass visits every point.  Each later pass visits only the
     points left in the cells the pass before peeled: any other cell keeps its
@@ -254,7 +260,7 @@ def remove_ground(cloud: PointCloud, cell_m: float = 1.0, z_margin: float = 0.3)
         pts, lc, lz = pts[rest], lc[rest], lz[rest]
 
     total = np.bincount(cid, minlength=ncell)
-    sparse = (total > 0) & (total < 3)
+    sparse = (total > 0) & (total < _GROUND_SUPPORT)
     if sparse.any() and np.isfinite(floor).any():
         donor = np.full(ncell, np.nan)
         cells = np.flatnonzero(sparse)

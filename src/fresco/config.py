@@ -46,9 +46,11 @@ class Config:
 _FIELDS = {f.name: f for f in dataclasses.fields(Config)}
 _LENGTHS_M = ("window_m", "ground_cell_m", "ground_margin_m", "coarse_grid_m", "voxel_m",
               "nicp_gate_start_m")  # finite; the thresholds may be inf, meaning no gate
-# Every grid is laid over the window_m crop, so window_m / cell bounds its side.
-# Ground removal and compaction allocate dense per-cell arrays, up to
-# MAX_GRID_SIDE**2 (about 4.2e6) cells.
+# MAX_GRID_SIDE**2 (about 4.2e6) entries cap every dense per-scan array: the
+# per-cell arrays of ground removal and compaction (every grid is laid over the
+# window_m crop, so window_m / cell bounds its side), the grid_size**2 BEV image
+# and its FFT, and the (angular_bins // 2) x (radial_bins * angular_bins) table
+# that the shift search builds per query.
 MAX_GRID_SIDE = 2048
 _CELLS_M = ("ground_cell_m", "coarse_grid_m", "voxel_m")
 
@@ -61,12 +63,16 @@ def validate(cfg: Config) -> Config:
         # a product, not a quotient: a zero cell is named by the check above
         *((f, cfg.window_m <= MAX_GRID_SIDE * getattr(cfg, f),
            f"must be at least window_m / {MAX_GRID_SIDE}") for f in _CELLS_M),
-        ("grid_size", cfg.grid_size >= 8, "must be at least 8"),
+        ("grid_size", 8 <= cfg.grid_size <= MAX_GRID_SIDE, f"must lie in [8, {MAX_GRID_SIDE}]"),
         ("crop_size", 2 <= cfg.crop_size <= cfg.grid_size, "must lie in [2, grid_size]"),
         ("crop_size", cfg.crop_size % 2 == 0, "must be even"),
         ("radial_bins", cfg.radial_bins >= 1, "must be positive"),
         ("angular_bins", cfg.angular_bins >= 2, "must be at least 2"),
         ("angular_bins", cfg.angular_bins % 2 == 0, "must be even"),
+        ("angular_bins",
+         (cfg.angular_bins // 2) * cfg.radial_bins * cfg.angular_bins <= MAX_GRID_SIDE**2,
+         f"must keep (angular_bins // 2) * radial_bins * angular_bins <= {MAX_GRID_SIDE**2}"
+         f" at radial_bins {cfg.radial_bins}"),
         ("num_candidates", cfg.num_candidates >= 1, "must be positive"),
         ("l1_threshold", cfg.l1_threshold > 0, "must be positive"),
         ("cosine_threshold", cfg.cosine_threshold > 0, "must be positive"),
@@ -149,10 +155,10 @@ def to_dict(cfg: Config) -> dict:
     return dataclasses.asdict(cfg)
 
 
-def thread_count(env: str = "FRESCO_THREADS") -> int:
-    """Worker cap from the environment; bad or absent values mean 1."""
+def thread_count() -> int:
+    """Worker cap from ``FRESCO_THREADS``; bad or absent values mean 1."""
     try:
-        return max(1, int(os.environ.get(env, "1")))
+        return max(1, int(os.environ.get("FRESCO_THREADS", "1")))
     except ValueError:
         return 1
 

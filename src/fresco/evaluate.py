@@ -227,8 +227,9 @@ def runtime_report(timer: PhaseTimer) -> dict[str, float]:
     }
 
 
-def trajectory_svg(path_xy, tp_segments, fp_segments, out_path, size: float = 800.0) -> None:
+def trajectory_svg(path_xy, tp_segments, fp_segments, out_path) -> None:
     """Write the trajectory as an SVG: black path, green TP links, red FP links."""
+    size = 800.0  # svg units across the longer side of the data
     pts = np.asarray(path_xy, dtype=float).reshape(-1, 2)
     coords = [pts] + [np.asarray(s, dtype=float).reshape(-1, 2) for s in (tp_segments or [])]
     coords += [np.asarray(s, dtype=float).reshape(-1, 2) for s in (fp_segments or [])]

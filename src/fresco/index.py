@@ -13,6 +13,7 @@ import numpy as np
 from scipy.spatial import cKDTree
 
 from .cloud import FormatError
+from .config import Config
 from .matching import circular_shift, confirm_min, row_cosine, shift_l1_table
 from .pose import shift_to_rotation
 
@@ -66,7 +67,7 @@ class KeyframeIndex:
     never returned, which keeps a vehicle from matching the scene it is in.
     """
 
-    def __init__(self, exclusion_horizon: int = 30):
+    def __init__(self, exclusion_horizon: int = Config.exclusion_horizon):
         if exclusion_horizon < 0:
             raise ValueError("exclusion_horizon must be >= 0")
         self.exclusion_horizon = exclusion_horizon
@@ -187,7 +188,7 @@ class KeyframeIndex:
         Path(path).write_bytes(header + ids + descs)
 
     @classmethod
-    def load(cls, path, exclusion_horizon: int = 30) -> "KeyframeIndex":
+    def load(cls, path, exclusion_horizon: int = Config.exclusion_horizon) -> "KeyframeIndex":
         """Read a file written by ``save``; the result is exactly the index
         built by inserting the stored float32 descriptors in file order."""
         raw = Path(path).read_bytes()

@@ -18,6 +18,7 @@ import numpy as np
 from scipy.spatial import cKDTree
 
 from .cloud import PointCloud
+from .config import Config
 
 
 # Stage 2 calls a pose a success when its gated mse (m^2) is below this.
@@ -239,11 +240,11 @@ def _cap_per_cell(cells: np.ndarray, cap: int) -> np.ndarray:
 
 def extract_compact_2d(
     cloud: PointCloud,
-    coarse_grid_m: float = 4.0,
-    cell_cap: int = 10,
-    voxel_m: float = 0.4,
-    normal_neighbors: int = 10,
-    max_flatness_ratio: float = 0.8,
+    coarse_grid_m: float = Config.coarse_grid_m,
+    cell_cap: int = Config.cell_cap,
+    voxel_m: float = Config.voxel_m,
+    normal_neighbors: int = Config.normal_neighbors,
+    max_flatness_ratio: float = Config.max_flatness_ratio,
 ) -> Compact2dCloud:
     """Condense a (ground-removed) cloud into a 2D outline with normals.
 
@@ -313,9 +314,9 @@ def nicp_2d(
     src: Compact2dCloud,
     dst: Compact2dCloud,
     yaw_init: float,
-    max_iters: int = 30,
-    gate_start_m: float = 8.0,
-    gate_end_m: float = 0.5,
+    max_iters: int = Config.nicp_max_iters,
+    gate_start_m: float = Config.nicp_gate_start_m,
+    gate_end_m: float = Config.nicp_gate_end_m,
 ) -> Se2Pose:
     """Planar point-to-plane alignment of src onto dst.
 
@@ -404,7 +405,7 @@ def refine_pose_3d(
     query: PointCloud,
     candidate: PointCloud,
     init: Se2Pose,
-    voxel_m: float = 0.4,
+    voxel_m: float = Config.voxel_m,
     max_iters: int = 20,
     gate_start_m: float = 2.0,
     gate_end_m: float = 0.5,

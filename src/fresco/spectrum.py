@@ -10,14 +10,16 @@ from __future__ import annotations
 import numpy as np
 from scipy.ndimage import map_coordinates
 
+from .config import Config
 
-def log_spectrum(image) -> np.ndarray:
-    """log(1 + |DFT2|) of a square image, shifted so dc sits at (S/2, S/2).
 
-    Accepts a BevImage or a bare 2D array.  The forward transform is
-    unnormalized, so a constant image c maps to log(1 + c*S^2) at dc.
+def log_spectrum(image: np.ndarray) -> np.ndarray:
+    """log(1 + |DFT2|) of a square 2D array, shifted so dc sits at (S/2, S/2).
+
+    The forward transform is unnormalized, so a constant image c maps to
+    log(1 + c*S^2) at dc.
     """
-    data = np.asarray(getattr(image, "data", image), dtype=np.float64)
+    data = np.asarray(image, dtype=np.float64)
     if data.ndim != 2 or data.shape[0] != data.shape[1]:
         raise ValueError("expected a square 2D image")
     return np.fft.fftshift(np.log1p(np.abs(np.fft.fft2(data))))
@@ -25,9 +27,9 @@ def log_spectrum(image) -> np.ndarray:
 
 def polar_unroll(
     mag: np.ndarray,
-    crop_size: int = 64,
-    radial_bins: int = 32,
-    angular_bins: int = 120,
+    crop_size: int = Config.crop_size,
+    radial_bins: int = Config.radial_bins,
+    angular_bins: int = Config.angular_bins,
 ) -> np.ndarray:
     """Resample a dc-centered spectrum onto polar rings by bilinear sampling.
 

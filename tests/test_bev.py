@@ -24,16 +24,16 @@ def test_bin_index_outside_window_raises():
 
 def test_empty_cloud_gives_zero_image():
     img = make_bev(PointCloud(xyz=np.zeros((0, 3))), 80.0, 128)
-    assert img.data.shape == (128, 128)
-    assert not img.data.any()
+    assert img.shape == (128, 128)
+    assert not img.any()
 
 
 def test_max_rule_with_height_offset():
     xyz = np.array([[10.0, -5.0, 2.0], [10.0, -5.0, 5.0]])
     img = make_bev(PointCloud(xyz=xyz), 80.0, 128)
     i, j = bin_index(10.0, -5.0, 80.0, 128)
-    assert img.data[i, j] == 5.0 + HEIGHT_OFFSET == 8.0
-    assert np.count_nonzero(img.data) == 1
+    assert img[i, j] == 5.0 + HEIGHT_OFFSET == 8.0
+    assert np.count_nonzero(img) == 1
 
 
 def test_against_brute_force_rebinning():
@@ -47,7 +47,7 @@ def test_against_brute_force_rebinning():
         i, j = bin_index(x, y, 80.0, 128)
         want[i, j] = max(want[i, j], z + HEIGHT_OFFSET)
     img = make_bev(PointCloud(xyz=xyz), 80.0, 128)
-    np.testing.assert_array_equal(img.data, want)
+    np.testing.assert_array_equal(img, want)
 
 
 def test_point_order_does_not_matter():
@@ -55,7 +55,7 @@ def test_point_order_does_not_matter():
     xyz = rng.uniform(-30, 30, (400, 3))
     a = make_bev(PointCloud(xyz=xyz), 80.0, 64)
     b = make_bev(PointCloud(xyz=xyz[rng.permutation(400)]), 80.0, 64)
-    np.testing.assert_array_equal(a.data, b.data)
+    np.testing.assert_array_equal(a, b)
 
 
 def test_adding_points_never_lowers_bins():
@@ -63,7 +63,7 @@ def test_adding_points_never_lowers_bins():
     xyz = rng.uniform(-30, 30, (300, 3))
     base = make_bev(PointCloud(xyz=xyz), 80.0, 64)
     more = make_bev(PointCloud(xyz=np.vstack([xyz, rng.uniform(-30, 30, (100, 3))])), 80.0, 64)
-    assert (more.data >= base.data).all()
+    assert (more >= base).all()
 
 
 def test_one_bin_translation_shifts_rows():
@@ -77,13 +77,13 @@ def test_one_bin_translation_shifts_rows():
     moved = xyz.copy()
     moved[:, 0] += step
     b = make_bev(PointCloud(xyz=moved), 80.0, 128)
-    np.testing.assert_array_equal(b.data[1:], a.data[:-1])
+    np.testing.assert_array_equal(b[1:], a[:-1])
 
 
 def test_points_outside_window_are_ignored():
     xyz = np.array([[100.0, 0.0, 5.0], [0.0, 0.0, 1.0]])
     img = make_bev(PointCloud(xyz=xyz), 80.0, 64)
-    assert np.count_nonzero(img.data) == 1
+    assert np.count_nonzero(img) == 1
 
 
 def test_grid_size_floor():
@@ -127,5 +127,5 @@ def test_window_edges_and_half_bin_ties_round_half_away(grid):
     for x, y, z in xyz:
         i, j = half_away(x), half_away(y)
         want[i, j] = max(want[i, j], z + HEIGHT_OFFSET)
-    np.testing.assert_array_equal(make_bev(PointCloud(xyz=xyz), 2.0 * half, grid).data, want)
+    np.testing.assert_array_equal(make_bev(PointCloud(xyz=xyz), 2.0 * half, grid), want)
     assert half_away(ties[2]) == 3  # ties to even would give 2

@@ -237,6 +237,16 @@ def test_grid_cell_too_fine_for_the_window_is_a_config_error(tmp_path, capsys, f
     assert f"{field} must be at least window_m / " in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize("field, value", [("grid_size", "1000000"), ("angular_bins", "20000")])
+def test_dense_array_too_large_is_a_config_error(tmp_path, capsys, field, value):
+    # the dataset is absent: an accepted config would exit 2 before any scan is read
+    code = main(["eval", "--dataset", str(tmp_path / "absent"), "--out", str(tmp_path / "out"),
+                 "--set", f"{field}={value}"])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert f"config error: {field} must " in err and "Traceback" not in err
+
+
 @pytest.mark.parametrize("text", ["Infinity", "1e999"])
 def test_infinite_int_in_a_config_file_is_a_config_error(tmp_path, capsys, text):
     cfg = tmp_path / "cfg.json"

@@ -1,12 +1,15 @@
 """Configuration loading, validation, coercion, overrides, and the thread fan-out."""
 
 import dataclasses
+import inspect
 import json
 import threading
 import time
 
 import pytest
 
+from fresco.bev import make_bev
+from fresco.cloud import remove_ground
 from fresco.config import (
     MAX_GRID_SIDE,
     Config,
@@ -19,6 +22,9 @@ from fresco.config import (
     to_dict,
     validate,
 )
+from fresco.index import KeyframeIndex
+from fresco.pose import extract_compact_2d, nicp_2d, refine_pose_3d
+from fresco.spectrum import polar_unroll
 
 
 def test_defaults_validate():
@@ -68,6 +74,30 @@ def test_grid_cell_bound_scales_with_the_window(field):
     with pytest.raises(ConfigError, match=rf"^{field} "):
         from_dict({"version": 1, "window_m": 160.0, field: finest})
     from_dict({"version": 1, "window_m": 40.0, field: finest / 2})
+
+
+@pytest.mark.parametrize(
+    "values, field",
+    [
+        ({"grid_size": MAX_GRID_SIDE + 1}, "grid_size"),
+        ({"grid_size": 1_000_000}, "grid_size"),
+        ({"angular_bins": 20_000}, "angular_bins"),
+        ({"radial_bins": 64, "angular_bins": 400}, "angular_bins"),
+        ({"radial_bins": 100_000}, "angular_bins"),
+    ],
+    ids=["grid-side-past-max", "grid-side-1e6", "angular-20000", "radial-64-angular-400",
+         "radial-100000"],
+)
+def test_dense_per_scan_arrays_are_bounded(values, field):
+    # validated only: the BEV image has grid_size**2 cells, and the shift search
+    # builds an (angular_bins // 2) x (radial_bins * angular_bins) table per query
+    with pytest.raises(ConfigError, match=rf"^{field} must "):
+        from_dict({"version": 1, **values})
+
+
+def test_dense_array_bounds_admit_their_largest_values():
+    from_dict({"version": 1, "grid_size": MAX_GRID_SIDE})
+    from_dict({"version": 1, "radial_bins": 64, "angular_bins": 360})
 
 
 def test_thresholds_and_spacings_accept_inf():
@@ -192,3 +222,32 @@ def test_thread_map_runs_concurrently_when_asked(monkeypatch):
     monkeypatch.setenv("FRESCO_THREADS", "1")
     here = threading.current_thread()
     assert thread_map(lambda _: threading.current_thread(), [0, 1]) == [here, here]
+
+
+@pytest.mark.parametrize(
+    "function, parameter, field",
+    [
+        (make_bev, "window_m", "window_m"),
+        (make_bev, "grid_size", "grid_size"),
+        (polar_unroll, "crop_size", "crop_size"),
+        (polar_unroll, "radial_bins", "radial_bins"),
+        (polar_unroll, "angular_bins", "angular_bins"),
+        (remove_ground, "cell_m", "ground_cell_m"),
+        (remove_ground, "z_margin", "ground_margin_m"),
+        (extract_compact_2d, "coarse_grid_m", "coarse_grid_m"),
+        (extract_compact_2d, "cell_cap", "cell_cap"),
+        (extract_compact_2d, "voxel_m", "voxel_m"),
+        (extract_compact_2d, "normal_neighbors", "normal_neighbors"),
+        (extract_compact_2d, "max_flatness_ratio", "max_flatness_ratio"),
+        (nicp_2d, "max_iters", "nicp_max_iters"),
+        (nicp_2d, "gate_start_m", "nicp_gate_start_m"),
+        (nicp_2d, "gate_end_m", "nicp_gate_end_m"),
+        (refine_pose_3d, "voxel_m", "voxel_m"),
+        (KeyframeIndex.__init__, "exclusion_horizon", "exclusion_horizon"),
+        (KeyframeIndex.load, "exclusion_horizon", "exclusion_horizon"),
+    ],
+    ids=lambda v: getattr(v, "__qualname__", v),
+)
+def test_layer_keyword_defaults_are_the_config_defaults(function, parameter, field):
+    default = inspect.signature(function).parameters[parameter].default
+    assert default == getattr(Config(), field)

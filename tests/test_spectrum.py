@@ -53,7 +53,7 @@ def test_cyclic_shift_leaves_magnitude_unchanged():
 
 def test_translation_invariance_on_real_scene():
     scene = synth.generate(synth.SceneSpec(seed=21, pillars=25, walls=5, rings=2))
-    img = make_bev(scene, 80.0, 128).data
+    img = make_bev(scene, 80.0, 128)
     for shift in ((5, 11), (63, 1)):
         assert translation_deviation(img, *shift) <= TRANSLATION_RTOL
 
