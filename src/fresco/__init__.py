@@ -7,7 +7,7 @@ column shift, so a shift-searched comparison yields both a match score and
 a yaw estimate that seeds planar registration.
 """
 
-from .bev import bin_index, make_bev, write_pgm
+from .bev import make_bev, write_pgm
 from .cloud import (
     FormatError,
     PointCloud,

@@ -29,19 +29,6 @@ def _bin_indices(x, y, window_m: float, grid_size: int):
     return np.minimum(r, grid_size - 1), np.minimum(c, grid_size - 1)
 
 
-def bin_index(x: float, y: float, window_m: float, grid_size: int) -> tuple[int, int]:
-    """Grid cell of a point, row from x and column from y.
-
-    Rounding is half-away-from-zero and results are clamped to the grid,
-    so the window boundary row/column absorbs exact-edge points.
-    """
-    half = window_m / 2.0
-    if abs(x) > half or abs(y) > half:
-        raise ValueError(f"point ({x}, {y}) lies outside the {window_m} m window")
-    r, c = _bin_indices(x, y, window_m, grid_size)
-    return int(r), int(c)
-
-
 def make_bev(
     cloud: PointCloud, window_m: float = Config.window_m, grid_size: int = Config.grid_size
 ) -> np.ndarray:

@@ -52,6 +52,12 @@ _LENGTHS_M = ("window_m", "ground_cell_m", "ground_margin_m", "coarse_grid_m", "
 # and its FFT, and the (angular_bins // 2) x (radial_bins * angular_bins) table
 # that the shift search builds per query.
 MAX_GRID_SIDE = 2048
+# MAX_WORK_FACTOR caps each count that multiplies a query's registration work:
+# the planar ICP's iterations (nicp_max_iters, run for two branches per pose),
+# the neighbors of each compacted point's normal fit (normal_neighbors), and
+# the points kept per coarse cell (cell_cap), which with the coarse grid bounds
+# how many points are compacted.  README.md states the worst case per query.
+MAX_WORK_FACTOR = 256
 _CELLS_M = ("ground_cell_m", "coarse_grid_m", "voxel_m")
 
 
@@ -79,10 +85,12 @@ def validate(cfg: Config) -> Config:
         ("exclusion_horizon", cfg.exclusion_horizon >= 0, "must be >= 0"),
         ("keyframe_spacing_m", cfg.keyframe_spacing_m > 0, "must be positive"),
         ("tp_radius_m", cfg.tp_radius_m > 0, "must be positive"),
-        ("cell_cap", cfg.cell_cap >= 1, "must be positive"),
-        ("normal_neighbors", cfg.normal_neighbors >= 2, "must be at least 2"),
+        ("cell_cap", 1 <= cfg.cell_cap <= MAX_WORK_FACTOR, f"must lie in [1, {MAX_WORK_FACTOR}]"),
+        ("normal_neighbors", 2 <= cfg.normal_neighbors <= MAX_WORK_FACTOR,
+         f"must lie in [2, {MAX_WORK_FACTOR}]"),
         ("max_flatness_ratio", 0 < cfg.max_flatness_ratio <= 1, "must lie in (0, 1]"),
-        ("nicp_max_iters", cfg.nicp_max_iters >= 1, "must be positive"),
+        ("nicp_max_iters", 1 <= cfg.nicp_max_iters <= MAX_WORK_FACTOR,
+         f"must lie in [1, {MAX_WORK_FACTOR}]"),
         ("nicp_gate_end_m", 0 < cfg.nicp_gate_end_m <= cfg.nicp_gate_start_m,
          "must be positive and <= nicp_gate_start_m"),
     ]

@@ -23,6 +23,9 @@ from .config import Config
 
 # Stage 2 calls a pose a success when its gated mse (m^2) is below this.
 STAGE2_SUCCESS_MSE = 1.5
+# Stage 2 registers at most this many query centroids, evenly spaced in voxel
+# key order (``_spaced_picks``); the candidate tree keeps every centroid.
+STAGE2_QUERY_POINTS = 3072
 _TOL_T_M, _TOL_YAW_RAD = 1e-3, 1e-4  # an ICP step smaller than both has converged
 _MIN_POINTS = 10  # fewest structure points a cloud is registered with
 
@@ -215,15 +218,24 @@ def _requery_within(tree: cKDTree, points: np.ndarray, gate_m: float, cache=None
     return dist, idx, cache
 
 
+def _spaced_picks(size, count: int) -> np.ndarray:
+    """``np.linspace(0, size - 1, count).round()`` as int64 positions: one
+    row for an integer ``size``, one row per entry of an array of sizes.
+
+    For ``size > count`` these are ``count`` distinct, increasing positions.
+    The picks repeat linspace's arithmetic, ``i * ((size - 1) / (count - 1))``;
+    its exact endpoint needs no special case, because rounding absorbs the
+    product's error.
+    """
+    step = (np.asarray(size)[..., None] - 1) / max(count - 1, 1)
+    return (np.arange(count) * step).round().astype(np.int64)
+
+
 def _cap_per_cell(cells: np.ndarray, cap: int) -> np.ndarray:
     """Positions into ``cells`` grouped by cell id, at most ``cap`` per cell.
 
     Each group keeps its members' order.  A cell with more than ``cap``
-    members keeps those at ``np.linspace(0, size - 1, cap).round()``, which
-    for ``size > cap`` are ``cap`` distinct positions.  The picks repeat
-    linspace's arithmetic, ``i * ((size - 1) / (cap - 1))``; its exact
-    endpoint needs no special case, because rounding absorbs the product's
-    error.
+    members keeps its ``_spaced_picks(size, cap)``.
     """
     order = np.argsort(cells, kind="stable")
     ordered = cells[order]
@@ -232,9 +244,7 @@ def _cap_per_cell(cells: np.ndarray, cap: int) -> np.ndarray:
     keep = np.repeat(sizes <= cap, sizes)
     big = sizes > cap
     if big.any():
-        step = (sizes[big] - 1) / max(cap - 1, 1)
-        pick = (np.arange(cap) * step[:, None]).round().astype(np.int64)
-        keep[(starts[big, None] + pick).ravel()] = True
+        keep[(starts[big, None] + _spaced_picks(sizes[big], cap)).ravel()] = True
     return order[keep]
 
 
@@ -409,28 +419,38 @@ def refine_pose_3d(
     max_iters: int = 20,
     gate_start_m: float = 2.0,
     gate_end_m: float = 0.5,
+    query_points: int = STAGE2_QUERY_POINTS,
 ) -> Se3Pose:
     """Point-to-point 3D refinement of a planar pose.
+
+    Both clouds are reduced to voxel centroids.  The k-d tree holds every
+    candidate centroid; of the query centroids, at most ``query_points``
+    are registered, picked by ``_spaced_picks`` in voxel key order (a query
+    with no more centroids than that is registered whole).  The sample
+    serves every step below: the seed search, the iterations, the final
+    mse and ``success``.
 
     Seeds z, roll, and pitch at zero.  If the iteration fails to converge or
     would end with a higher mse than the seed pose (beyond 1e-12 m² of
     rounding), the seed is passed
     through unchanged with ``converged=False``; ``max_iters=0`` therefore
-    scores the seed.  The mse is the mean squared distance between the two
-    clouds' voxel centroids over correspondences gated at ``gate_end_m``
-    (inf when none survive).  ``success`` records whether the final mse
-    beats ``STAGE2_SUCCESS_MSE``.  Nothing beyond the current gate is
-    searched for a correspondence.
+    scores the seed.  The mse is the mean squared distance from the sampled
+    query centroids to their nearest candidate centroids, over
+    correspondences gated at ``gate_end_m`` (inf when none survive).
+    ``success`` records whether the final mse beats ``STAGE2_SUCCESS_MSE``.
+    Nothing beyond the current gate is searched for a correspondence.
 
-    The seed search finds every query centroid's two nearest neighbors;
+    The seed search finds every sampled centroid's two nearest neighbors;
     later iterations and the final score re-use them and search again only
     the centroids whose nearest neighbor the triangle inequality cannot prove
     unchanged (``_requery_within``).  Late iterations move the pose by
     millimeters, so few are searched, and since every correspondence is the
     one a full search would find, the result is that of searching every
-    centroid on every iteration, bit for bit.
+    sampled centroid on every iteration, bit for bit.
     """
     a = _voxel_centroids(query.xyz, voxel_m)
+    if a.shape[0] > query_points:
+        a = a[_spaced_picks(a.shape[0], query_points)]
     b = _voxel_centroids(candidate.xyz, voxel_m)
     t = se2_to_matrix(init)
     if min(a.shape[0], b.shape[0]) < _MIN_POINTS:

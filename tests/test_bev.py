@@ -1,25 +1,53 @@
 """BEV projection: binning rule, max-height semantics, PGM export."""
 
+import math
+
 import numpy as np
 import pytest
 
-from fresco.bev import HEIGHT_OFFSET, bin_index, make_bev, write_pgm
+from fresco.bev import HEIGHT_OFFSET, _bin_indices, make_bev, write_pgm
 from fresco.cloud import PointCloud
 
 
+def bin_index(x: float, y: float, window_m: float, grid_size: int) -> tuple[int, int]:
+    """The binning rule for one in-window point, kept as the oracle: row from
+    x, column from y, rounded half away from zero and clamped to the grid, so
+    a point on the window's upper edge lands in the last row or column."""
+    half = window_m / 2.0
+    assert abs(x) <= half and abs(y) <= half, "the rule covers in-window points"
+    width = window_m / grid_size
+
+    def cell(coord):
+        v = (coord + half) / width
+        return int(min(max(math.copysign(math.floor(abs(v) + 0.5), v), 0), grid_size - 1))
+
+    return cell(x), cell(y)
+
+
+def _shipped(x, y, window_m, grid_size):
+    r, c = _bin_indices(x, y, window_m, grid_size)
+    return int(r), int(c)
+
+
 def test_bin_index_center():
-    assert bin_index(0.0, 0.0, 80.0, 80) == (40, 40)
+    assert bin_index(0.0, 0.0, 80.0, 80) == _shipped(0.0, 0.0, 80.0, 80) == (40, 40)
 
 
 def test_bin_index_corners():
-    assert bin_index(-40.0, -40.0, 80.0, 80) == (0, 0)
+    assert bin_index(-40.0, -40.0, 80.0, 80) == _shipped(-40.0, -40.0, 80.0, 80) == (0, 0)
     # exact upper edge rounds to S and is clamped back in
-    assert bin_index(40.0, 40.0, 80.0, 80) == (79, 79)
+    assert bin_index(40.0, 40.0, 80.0, 80) == _shipped(40.0, 40.0, 80.0, 80) == (79, 79)
 
 
-def test_bin_index_outside_window_raises():
-    with pytest.raises(ValueError):
-        bin_index(41.0, 0.0, 80.0, 80)
+@pytest.mark.parametrize("grid", [8, 80, 128])
+def test_bin_indices_equal_the_rule_on_in_window_points(grid):
+    rng = np.random.default_rng(13)
+    edges = np.array([-40.0, 40.0, np.nextafter(-40.0, 0.0), np.nextafter(40.0, 0.0), 0.0])
+    x = np.concatenate([rng.uniform(-40.0, 40.0, 500), edges, np.repeat(edges, 5)])
+    y = np.concatenate([rng.uniform(-40.0, 40.0, 500), edges, np.tile(edges, 5)])
+    rows, cols = _bin_indices(x, y, 80.0, grid)
+    want = [bin_index(a, b, 80.0, grid) for a, b in zip(x, y)]
+    assert list(zip(rows.tolist(), cols.tolist())) == want
 
 
 def test_empty_cloud_gives_zero_image():
@@ -119,13 +147,9 @@ def test_window_edges_and_half_bin_ties_round_half_away(grid):
     rng = np.random.default_rng(12)
     xyz = np.column_stack([gx.ravel(), gy.ravel(), rng.uniform(0.0, 10.0, gx.size)])
 
-    def half_away(coord):  # the documented rule, clamped to the grid
-        v = (coord + half) / width
-        return int(min(max(np.sign(v) * np.floor(abs(v) + 0.5), 0), grid - 1))
-
     want = np.zeros((grid, grid))
     for x, y, z in xyz:
-        i, j = half_away(x), half_away(y)
+        i, j = bin_index(x, y, 2.0 * half, grid)
         want[i, j] = max(want[i, j], z + HEIGHT_OFFSET)
     np.testing.assert_array_equal(make_bev(PointCloud(xyz=xyz), 2.0 * half, grid), want)
-    assert half_away(ties[2]) == 3  # ties to even would give 2
+    assert bin_index(ties[2], 0.0, 2.0 * half, grid)[0] == 3  # ties to even would give 2

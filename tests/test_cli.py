@@ -247,6 +247,16 @@ def test_dense_array_too_large_is_a_config_error(tmp_path, capsys, field, value)
     assert f"config error: {field} must " in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize("field", ["nicp_max_iters", "normal_neighbors", "cell_cap"])
+def test_per_query_work_too_large_is_a_config_error(tmp_path, capsys, field):
+    # the dataset is absent: an accepted config would exit 2 before any scan is read
+    code = main(["eval", "--dataset", str(tmp_path / "absent"), "--out", str(tmp_path / "out"),
+                 "--set", f"{field}=1000000"])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert f"config error: {field} must lie in " in err and "Traceback" not in err
+
+
 @pytest.mark.parametrize("text", ["Infinity", "1e999"])
 def test_infinite_int_in_a_config_file_is_a_config_error(tmp_path, capsys, text):
     cfg = tmp_path / "cfg.json"

@@ -12,6 +12,7 @@ from fresco.bev import make_bev
 from fresco.cloud import remove_ground
 from fresco.config import (
     MAX_GRID_SIDE,
+    MAX_WORK_FACTOR,
     Config,
     ConfigError,
     apply_overrides,
@@ -98,6 +99,22 @@ def test_dense_per_scan_arrays_are_bounded(values, field):
 def test_dense_array_bounds_admit_their_largest_values():
     from_dict({"version": 1, "grid_size": MAX_GRID_SIDE})
     from_dict({"version": 1, "radial_bins": 64, "angular_bins": 360})
+
+
+@pytest.mark.parametrize("field", ["nicp_max_iters", "normal_neighbors", "cell_cap"])
+@pytest.mark.parametrize("value", [MAX_WORK_FACTOR + 1, 1_000_000])
+def test_per_query_work_factors_are_bounded(field, value):
+    # validated only: nicp_max_iters sets the planar ICP's iterations per branch,
+    # normal_neighbors the neighbor block per compacted point, cell_cap how many
+    # points are compacted
+    with pytest.raises(ConfigError, match=rf"^{field} must lie in \[\d, {MAX_WORK_FACTOR}\] "):
+        from_dict({"version": 1, field: value})
+
+
+def test_per_query_work_bounds_admit_their_largest_values():
+    fields = ("nicp_max_iters", "normal_neighbors", "cell_cap")
+    cfg = from_dict({"version": 1, **{f: MAX_WORK_FACTOR for f in fields}})
+    assert all(getattr(cfg, f) == MAX_WORK_FACTOR for f in fields)
 
 
 def test_thresholds_and_spacings_accept_inf():

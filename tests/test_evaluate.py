@@ -305,6 +305,32 @@ def test_run_evaluation_is_deterministic(trip_dataset, trip_report, tmp_path):
         assert (out / name).read_bytes() == (first_out / name).read_bytes(), name
 
 
+def test_run_evaluation_with_sampled_stage2_is_byte_identical(
+    trip_dataset, monkeypatch, tmp_path
+):
+    from fresco import pose
+    from fresco.config import Config
+    from fresco.datasets import load_dataset
+    from fresco.evaluate import run_evaluation
+
+    sampled = []
+    spaced_picks = pose._spaced_picks
+
+    def spy(size, count):
+        if count == pose.STAGE2_QUERY_POINTS:
+            sampled.append(size)
+        return spaced_picks(size, count)
+
+    monkeypatch.setattr(pose, "_spaced_picks", spy)
+    dataset = load_dataset(trip_dataset, "generic")
+    for run in ("one", "two"):
+        run_evaluation(dataset, Config(exclusion_horizon=5), tmp_path / run)
+    # stage 2 registered a sample of the query centroids, not all of them
+    assert sampled and min(sampled) > pose.STAGE2_QUERY_POINTS
+    for name in ("matches.csv", "pr_curve.csv", "poses.csv"):
+        assert (tmp_path / "one" / name).read_bytes() == (tmp_path / "two" / name).read_bytes()
+
+
 def test_run_evaluation_is_byte_identical_at_any_thread_count(
     trip_dataset, monkeypatch, tmp_path
 ):

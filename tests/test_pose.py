@@ -17,6 +17,7 @@ from fresco.config import Config
 from fresco.matching import best_shift_l1
 from fresco.pipeline import compact_2d, describe, planar_pose, preprocess, relative_pose
 from fresco.pose import (
+    STAGE2_QUERY_POINTS,
     STAGE2_SUCCESS_MSE,
     Compact2dCloud,
     InsufficientStructureError,
@@ -43,11 +44,21 @@ def _compact(cloud) -> Compact2dCloud:
     return extract_compact_2d(cloud)
 
 
+def _stage2_sample(centroids, budget=STAGE2_QUERY_POINTS):
+    """The query centroids stage 2 registers: every one up to ``budget``,
+    else the ``budget`` rows at ``np.linspace(0, n - 1, budget).round()``."""
+    n = len(centroids)
+    if n <= budget:
+        return centroids
+    return centroids[np.linspace(0, n - 1, budget).round().astype(np.int64)]
+
+
 def _alignment_mse_3d(query, candidate, matrix, voxel_m=0.4, gate_m=0.5):
     """The former ``pose.alignment_mse_3d``, kept as the oracle: mean squared
-    nearest-neighbor distance between the voxel centroids under ``matrix``,
-    over correspondences within ``gate_m``; inf when none are."""
-    a = pose_mod._voxel_centroids(query.xyz, voxel_m)
+    nearest-neighbor distance from stage 2's sampled query centroids to the
+    candidate's voxel centroids under ``matrix``, over correspondences within
+    ``gate_m``; inf when none are."""
+    a = _stage2_sample(pose_mod._voxel_centroids(query.xyz, voxel_m))
     b = pose_mod._voxel_centroids(candidate.xyz, voxel_m)
     if a.shape[0] == 0 or b.shape[0] == 0:
         return np.inf
@@ -398,11 +409,12 @@ def test_refine_pass_through_reports_the_seed_alignment_mse(seed):
 
 
 def _refine_pose_3d_by_full_search(
-    query, candidate, init, voxel_m=0.4, max_iters=20, gate_start_m=2.0, gate_end_m=0.5
+    query, candidate, init, voxel_m=0.4, max_iters=20, gate_start_m=2.0, gate_end_m=0.5,
+    budget=STAGE2_QUERY_POINTS,
 ):
     """The former ``refine_pose_3d``, kept as the oracle: every iteration and
-    the final score search the tree for every query centroid."""
-    a = pose_mod._voxel_centroids(query.xyz, voxel_m)
+    the final score search the tree for every sampled query centroid."""
+    a = _stage2_sample(pose_mod._voxel_centroids(query.xyz, voxel_m), budget)
     b = pose_mod._voxel_centroids(candidate.xyz, voxel_m)
     t = se2_to_matrix(init)
     if a.shape[0] < 10 or b.shape[0] < 10:
@@ -592,7 +604,7 @@ def tree_searches(monkeypatch):
 def test_refine_searches_every_query_centroid_once_then_only_the_unsettled(tree_searches):
     q, c, k, cfg = _preprocessed_revisit(72)
     planar = planar_pose(compact_2d(q, cfg), compact_2d(c, cfg), k, cfg)
-    n = len(pose_mod._voxel_centroids(q.xyz, cfg.voxel_m))
+    n = len(_stage2_sample(pose_mod._voxel_centroids(q.xyz, cfg.voxel_m)))
     tree_searches.clear()
     assert refine_pose_3d(q, c, planar, cfg.voxel_m).converged
     assert tree_searches[0] == (n, 2)
@@ -601,6 +613,44 @@ def test_refine_searches_every_query_centroid_once_then_only_the_unsettled(tree_
     tree_searches.clear()
     refine_pose_3d(q, c, planar, cfg.voxel_m, max_iters=0)
     assert tree_searches == [(n, 1)]
+
+
+@pytest.mark.parametrize("budget", [64, STAGE2_QUERY_POINTS])
+def test_refine_above_the_budget_searches_at_most_the_budget(tree_searches, budget):
+    q, c, k, cfg = _preprocessed_revisit(72)
+    planar = planar_pose(compact_2d(q, cfg), compact_2d(c, cfg), k, cfg)
+    assert len(pose_mod._voxel_centroids(q.xyz, cfg.voxel_m)) > budget
+    tree_searches.clear()
+    refine_pose_3d(q, c, planar, cfg.voxel_m, query_points=budget)
+    assert tree_searches[0] == (budget, 2)
+    assert all(rows <= budget for rows, _ in tree_searches)
+
+
+@pytest.mark.parametrize("max_iters", [20, 0])
+@pytest.mark.parametrize("case", ["converged", "alias", "lattice"])
+def test_refine_with_every_centroid_in_budget_is_the_unsampled_full_search(case, max_iters):
+    query, cand, init, voxel = _REFINE_CASES[case](72)
+    n = len(pose_mod._voxel_centroids(query.xyz, voxel))
+    assert n > STAGE2_QUERY_POINTS  # so the default budget would sample
+    want = _refine_pose_3d_by_full_search(
+        query, cand, init, voxel, max_iters=max_iters, budget=np.inf
+    )
+    for budget in (n, n + 1):
+        got = refine_pose_3d(query, cand, init, voxel, max_iters=max_iters, query_points=budget)
+        assert astuple(got) == astuple(want)
+
+
+@pytest.mark.parametrize("budget", [1, 2, 3, 10, STAGE2_QUERY_POINTS])
+def test_stage2_pick_is_the_cell_cap_pick_of_one_cell(budget):
+    for n in (*range(budget + 1, budget + 40), 15_339, 2**20 + 1):
+        pick = pose_mod._spaced_picks(n, budget)
+        assert pick.shape == (budget,)
+        assert pick[0] == 0 and pick[-1] == (n - 1 if budget > 1 else 0)
+        assert (np.diff(pick) > 0).all()
+        np.testing.assert_array_equal(pick, np.linspace(0, n - 1, budget).round())
+        np.testing.assert_array_equal(pick, pose_mod._cap_per_cell(np.zeros(n, np.int64), budget))
+    # a budget equal to the count keeps every position
+    np.testing.assert_array_equal(pose_mod._spaced_picks(budget, budget), np.arange(budget))
 
 
 def test_cached_search_leaves_a_neighbor_at_the_bound_to_the_tree(tree_searches):
