@@ -22,7 +22,6 @@ from .config import (
     ConfigError,
     apply_overrides,
     load_config,
-    thread_map,
     validate,
 )
 from .datasets import load_dataset, load_scan
@@ -113,15 +112,13 @@ def cmd_build(args, cfg: Config) -> int:
     if not dataset.scans:
         print(f"warning: no scans found under {dataset.root}", file=sys.stderr)
     idx = KeyframeIndex(exclusion_horizon=cfg.exclusion_horizon)
-    ids = list(dataset.scans)
     t0 = time.perf_counter()
-    descs = thread_map(lambda fid: describe(load_scan(dataset.scans[fid]), cfg), ids)
-    for fid, desc in zip(ids, descs):
-        with _naming(dataset.scans[fid]):
-            idx.insert(fid, desc)
+    for fid, scan in dataset.scans.items():
+        with _naming(scan):
+            idx.insert(fid, describe(load_scan(scan), cfg))
     idx.save(args.out)
     dt = time.perf_counter() - t0
-    print(f"indexed {len(ids)} frames in {dt:.2f} s -> {args.out}")
+    print(f"indexed {len(dataset.scans)} frames in {dt:.2f} s -> {args.out}")
     return 0
 
 

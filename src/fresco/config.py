@@ -5,8 +5,6 @@ from __future__ import annotations
 import dataclasses
 import json
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 
@@ -161,21 +159,3 @@ def apply_overrides(cfg: Config, pairs: list[str]) -> Config:
 
 def to_dict(cfg: Config) -> dict:
     return dataclasses.asdict(cfg)
-
-
-def thread_count() -> int:
-    """Worker cap from ``FRESCO_THREADS``; bad or absent values mean 1."""
-    try:
-        return max(1, int(os.environ.get("FRESCO_THREADS", "1")))
-    except ValueError:
-        return 1
-
-
-def thread_map(fn, items) -> list:
-    """``[fn(x) for x in items]``, in order, on up to ``thread_count()`` threads."""
-    items = list(items)
-    workers = min(thread_count(), len(items))
-    if workers <= 1:
-        return [fn(x) for x in items]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, items))

@@ -5,8 +5,12 @@ This is the one module that turns ``Config`` fields into layer calls:
 log spectrum, polar descriptor), ``describe`` (both of those),
 ``compact_2d`` (planar registration input), ``planar_pose`` (two-branch
 planar NICP, keeping the branch with the lower truncated score, see
-``fresco.pose``) and ``relative_pose`` (both stages).  The CLI and the
-evaluation harness call these instead of unpacking the config themselves.
+``fresco.pose``), ``stage1_pose`` (``planar_pose`` of two raw clouds) and
+``relative_pose`` (both stages).  The CLI and the evaluation harness call
+these instead of unpacking the config themselves.  ``stage1_pose`` has no
+caller in the package: the planar gates of ``tests/test_acceptance.py`` and
+the benchmark's ``relocalize`` round use it, until that round times
+``relative_pose`` instead.
 """
 
 from __future__ import annotations

@@ -7,7 +7,10 @@ import pytest
 
 from fresco import synth
 from fresco.cli import main
+from fresco.config import Config
+from fresco.datasets import load_dataset, load_scan
 from fresco.index import KeyframeIndex
+from fresco.pipeline import describe
 from conftest import write_bin
 
 
@@ -40,12 +43,15 @@ def test_build_reports_count_and_is_deterministic(places, tmp_path, capsys):
     assert again.read_bytes() == index.read_bytes()
 
 
-def test_build_is_byte_identical_at_any_thread_count(places, tmp_path, monkeypatch):
-    root, _, _ = places
-    for threads in ("1", "2"):
-        monkeypatch.setenv("FRESCO_THREADS", threads)
-        assert main(["build", "--dataset", str(root), "--out", str(tmp_path / threads)]) == 0
-    assert (tmp_path / "1").read_bytes() == (tmp_path / "2").read_bytes()
+def test_build_writes_the_index_of_the_library_loop(places, tmp_path):
+    root, index, _ = places
+    cfg = Config()
+    dataset = load_dataset(root, "generic")
+    built = KeyframeIndex(exclusion_horizon=cfg.exclusion_horizon)
+    for fid in sorted(dataset.scans):
+        built.insert(fid, describe(load_scan(dataset.scans[fid]), cfg))
+    built.save(tmp_path / "library.frix")
+    assert (tmp_path / "library.frix").read_bytes() == index.read_bytes()
 
 
 def test_build_empty_dataset_warns_but_succeeds(tmp_path, capsys):

@@ -1,13 +1,14 @@
-"""Configuration loading, validation, coercion, overrides, and the thread fan-out."""
+"""Configuration loading, validation, coercion, and overrides."""
 
+import ast
 import dataclasses
 import inspect
 import json
-import threading
-import time
+from pathlib import Path
 
 import pytest
 
+import fresco
 from fresco.bev import make_bev
 from fresco.cloud import remove_ground
 from fresco.config import (
@@ -18,8 +19,6 @@ from fresco.config import (
     apply_overrides,
     from_dict,
     load_config,
-    thread_count,
-    thread_map,
     to_dict,
     validate,
 )
@@ -198,47 +197,20 @@ def test_to_dict_round_trip():
     assert from_dict(to_dict(cfg)) == cfg
 
 
-def test_thread_count_env(monkeypatch):
-    monkeypatch.delenv("FRESCO_THREADS", raising=False)
-    assert thread_count() == 1
-    monkeypatch.setenv("FRESCO_THREADS", "4")
-    assert thread_count() == 4
-    monkeypatch.setenv("FRESCO_THREADS", "0")
-    assert thread_count() == 1
-    monkeypatch.setenv("FRESCO_THREADS", "many")
-    assert thread_count() == 1
-
-
-@pytest.mark.parametrize("threads", ["1", "2", "4"])
-def test_thread_map_keeps_order(monkeypatch, threads):
-    monkeypatch.setenv("FRESCO_THREADS", threads)
-    items = list(range(12))
-
-    def slow_square(x):
-        time.sleep(0.002 * (12 - x))  # early items finish last
-        return x * x
-
-    assert thread_map(slow_square, items) == [x * x for x in items]
-    assert thread_map(slow_square, iter(items)) == [x * x for x in items]
-
-
-@pytest.mark.parametrize("threads", ["1", "2"])
-def test_thread_map_empty_and_single(monkeypatch, threads):
-    monkeypatch.setenv("FRESCO_THREADS", threads)
-    assert thread_map(lambda x: 1 / 0, []) == []
-    assert thread_map(lambda x: x + 1, [41]) == [42]
-    with pytest.raises(ZeroDivisionError):
-        thread_map(lambda x: 1 / x, [0])
-
-
-def test_thread_map_runs_concurrently_when_asked(monkeypatch):
-    # both calls must be in flight at once to pass the barrier
-    barrier = threading.Barrier(2, timeout=10)
-    monkeypatch.setenv("FRESCO_THREADS", "2")
-    assert thread_map(lambda x: (barrier.wait(), x)[1], ["a", "b"]) == ["a", "b"]
-    monkeypatch.setenv("FRESCO_THREADS", "1")
-    here = threading.current_thread()
-    assert thread_map(lambda _: threading.current_thread(), [0, 1]) == [here, here]
+def test_library_reads_no_environment_variable():
+    # a run is set by its Config alone; test-only variables live in tests/
+    found = []
+    for path in sorted(Path(fresco.__file__).parent.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Attribute):
+                names = [node.attr]
+            elif isinstance(node, ast.ImportFrom):
+                names = [alias.name for alias in node.names]
+            else:
+                continue
+            found += [f"{path.name}:{node.lineno} {n}" for n in names
+                      if n in ("environ", "getenv", "putenv")]
+    assert found == []
 
 
 @pytest.mark.parametrize(

@@ -331,21 +331,6 @@ def test_run_evaluation_with_sampled_stage2_is_byte_identical(
         assert (tmp_path / "one" / name).read_bytes() == (tmp_path / "two" / name).read_bytes()
 
 
-def test_run_evaluation_is_byte_identical_at_any_thread_count(
-    trip_dataset, monkeypatch, tmp_path
-):
-    from fresco.config import Config
-    from fresco.datasets import load_dataset
-    from fresco.evaluate import run_evaluation
-
-    dataset = load_dataset(trip_dataset, "generic")
-    for threads in ("1", "2"):
-        monkeypatch.setenv("FRESCO_THREADS", threads)
-        run_evaluation(dataset, Config(exclusion_horizon=5), tmp_path / threads)
-    for name in ("matches.csv", "pr_curve.csv", "poses.csv"):
-        assert (tmp_path / "1" / name).read_bytes() == (tmp_path / "2" / name).read_bytes(), name
-
-
 def test_run_evaluation_requires_poses(tmp_path):
     from fresco.config import Config
     from fresco.datasets import load_dataset
