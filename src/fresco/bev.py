@@ -6,7 +6,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .cloud import PointCloud, Z_MAX, Z_MIN
+from .cloud import PointCloud, Z_MIN, clip_height_band, crop_window
 from .config import Config
 
 # Heights are stored relative to the Z_MIN floor so that an empty bin (0)
@@ -38,19 +38,13 @@ def make_bev(
     or the [Z_MIN, Z_MAX] band are ignored.  Each bin holds max(z) - Z_MIN
     over its points, so all entries are >= 0 and 0 means no return fell there.
     """
-    if window_m <= 0:
-        raise ValueError("window_m must be positive")
+    kept = clip_height_band(crop_window(cloud, window_m))
     if grid_size < 8:
         raise ValueError("grid_size must be at least 8")
-    half = window_m / 2.0
-    x, y, z = cloud.xyz.T if len(cloud) else (np.empty(0),) * 3
-    keep = (np.abs(x) <= half) & (np.abs(y) <= half) & (z >= Z_MIN) & (z <= Z_MAX)
-    if not keep.all():
-        x, y, z = x[keep], y[keep], z[keep]
+    x, y, z = kept.xyz.T
     data = np.zeros(grid_size * grid_size)
-    if len(z):
-        r, c = _bin_indices(x, y, window_m, grid_size)
-        np.maximum.at(data, r * grid_size + c, z + HEIGHT_OFFSET)
+    r, c = _bin_indices(x, y, window_m, grid_size)
+    np.maximum.at(data, r * grid_size + c, z + HEIGHT_OFFSET)
     return data.reshape(grid_size, grid_size)
 
 

@@ -233,7 +233,7 @@ def trajectory_svg(path_xy, tp_segments, fp_segments, out_path) -> None:
     pts = np.asarray(path_xy, dtype=float).reshape(-1, 2)
     coords = [pts] + [np.asarray(s, dtype=float).reshape(-1, 2) for s in (tp_segments or [])]
     coords += [np.asarray(s, dtype=float).reshape(-1, 2) for s in (fp_segments or [])]
-    stacked = np.vstack(coords) if coords else np.zeros((0, 2))
+    stacked = np.vstack(coords)
     if stacked.shape[0] == 0:
         lo = np.zeros(2)
         span = np.ones(2)

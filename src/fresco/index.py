@@ -119,13 +119,15 @@ class KeyframeIndex:
         self._keys.append(key)
         self._descs.append(desc)
 
-    def _nearest(self, desc: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
-        """Positions and distances of the ``k`` eligible keys nearest ``desc``'s.
+    def retrieve(self, desc: np.ndarray, num_candidates: int) -> list[tuple[int, float]]:
+        """Up to ``num_candidates`` (id, key distance) pairs of ``eligible_ids``,
+        nearest first, ties to the smaller id.
 
         Unless the tree's (k+1)-th nearest may tie its k-th, its k nearest hold
         the exact k nearest; else every tree key stays, as do the keys outside
         the tree.  ``properties.linear_scan``'s arithmetic ranks the candidates.
         """
+        k = num_candidates
         if k < 1:
             raise ValueError("num_candidates must be >= 1")
         key = make_key(desc)
@@ -141,13 +143,7 @@ class KeyframeIndex:
         rows = np.reshape([self._keys[p] for p in pos], (-1, key.size))
         dist = np.linalg.norm(rows - key, axis=1)
         order = np.argsort(dist, kind="stable")[:k]
-        return pos[order], dist[order]
-
-    def retrieve(self, desc: np.ndarray, num_candidates: int) -> list[tuple[int, float]]:
-        """Up to ``num_candidates`` (id, key distance) pairs of ``eligible_ids``,
-        nearest first, ties to the smaller id."""
-        pos, dist = self._nearest(desc, num_candidates)
-        return [(self._ids[p], d) for p, d in zip(pos.tolist(), dist.tolist())]
+        return [(self._ids[p], d) for p, d in zip(pos[order].tolist(), dist[order].tolist())]
 
     def match(
         self,
@@ -167,16 +163,16 @@ class KeyframeIndex:
         way so callers can sweep thresholds afterwards.
         """
         desc = np.asarray(desc, dtype=np.float64)
-        pos, _ = self._nearest(desc, num_candidates)
-        if not pos.size:
+        ids = [fid for fid, _ in self.retrieve(desc, num_candidates)]
+        if not ids:
             return MatchResult(None, np.inf, np.inf, 0, 0.0, False)
-        stack = np.stack([self._descs[p] for p in pos])
+        stack = np.stack([self.descriptor(fid) for fid in ids])
         best, shift, d_l1 = confirm_min(desc, stack, shift_l1_table(desc, stack))
         # shift(desc, k) ~ candidate, so the candidate aligned to desc is shift(candidate, -k)
         d_r = row_cosine(desc, circular_shift(stack[best], -shift))
         accepted = d_l1 <= l1_threshold and d_r <= cosine_threshold
         rotation = shift_to_rotation(shift, desc.shape[1])
-        return MatchResult(self._ids[pos[best]], d_l1, d_r, shift, rotation, accepted)
+        return MatchResult(ids[best], d_l1, d_r, shift, rotation, accepted)
 
     def save(self, path) -> None:
         """Write the header, every frame id as u64, then every descriptor as

@@ -110,7 +110,7 @@ def _voxel_centroids(pts: np.ndarray, voxel: float) -> np.ndarray:
     the per-axis minimum, mixed radix over the per-axis spans), whose sort
     order is the lexicographic order of the key rows, so a 1-D unique groups
     the voxels without a row-wise sort.  When the spans' product does not
-    fit in an int64 the rows are lexsorted instead, in the same order.  The
+    fit in an int64 a column-wise unique groups them, in the same order.  The
     keys and sums work on one contiguous copy of the columns, one row per
     axis, so every per-axis reduction reads contiguous memory.
     """
@@ -128,12 +128,7 @@ def _voxel_centroids(pts: np.ndarray, voxel: float) -> np.ndarray:
             flat += keys[d]
         _, inverse, counts = np.unique(flat, return_inverse=True, return_counts=True)
     else:
-        order = np.lexsort(keys[::-1])
-        ordered = keys[:, order]
-        start = np.concatenate(([True], (ordered[:, 1:] != ordered[:, :-1]).any(axis=0)))
-        inverse = np.empty(order.size, dtype=np.int64)
-        inverse[order] = np.cumsum(start) - 1
-        counts = np.diff(np.append(np.flatnonzero(start), order.size))
+        _, inverse, counts = np.unique(keys, axis=1, return_inverse=True, return_counts=True)
     sums = np.zeros((counts.shape[0], dim))
     for d in range(dim):
         sums[:, d] = np.bincount(inverse, weights=cols[d])
@@ -432,10 +427,10 @@ def refine_pose_3d(
 
     Seeds z, roll, and pitch at zero.  If the iteration fails to converge or
     would end with a higher mse than the seed pose (beyond 1e-12 m² of
-    rounding), the seed is passed
-    through unchanged with ``converged=False``; ``max_iters=0`` therefore
-    scores the seed.  The mse is the mean squared distance from the sampled
-    query centroids to their nearest candidate centroids, over
+    rounding), the seed is passed through unchanged with
+    ``converged=False``; ``max_iters=0`` therefore scores the seed, from
+    the same seed search.  The mse is the mean squared distance from the
+    sampled query centroids to their nearest candidate centroids, over
     correspondences gated at ``gate_end_m`` (inf when none survive).
     ``success`` records whether the final mse beats ``STAGE2_SUCCESS_MSE``.
     Nothing beyond the current gate is searched for a correspondence.
@@ -456,14 +451,9 @@ def refine_pose_3d(
     if min(a.shape[0], b.shape[0]) < _MIN_POINTS:
         return matrix_to_se3(t, mse=np.inf, converged=False, success=False)
     tree = cKDTree(b)
-    # the seed pose's correspondences are iteration 0's as well; scoring the
-    # seed alone needs only the nearest neighbor, not the cache
+    # the seed pose's correspondences are iteration 0's as well
     p = a @ t[:3, :3].T + t[:3, 3]
-    seed_gate = max(gate_start_m, gate_end_m)
-    if max_iters:
-        dist, j, cache = _requery_within(tree, p, seed_gate)
-    else:
-        dist, j = _query_within(tree, p, seed_gate)
+    dist, j, cache = _requery_within(tree, p, max(gate_start_m, gate_end_m))
     init_mse = _gated_mse(dist, gate_end_m)
     converged = False
     for it in range(max_iters):

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from fresco.bev import HEIGHT_OFFSET, _bin_indices, make_bev, write_pgm
-from fresco.cloud import PointCloud
+from fresco.cloud import Z_MAX, Z_MIN, PointCloud
 
 
 def bin_index(x: float, y: float, window_m: float, grid_size: int) -> tuple[int, int]:
@@ -109,9 +109,19 @@ def test_one_bin_translation_shifts_rows():
 
 
 def test_points_outside_window_are_ignored():
-    xyz = np.array([[100.0, 0.0, 5.0], [0.0, 0.0, 1.0]])
+    xyz = np.array(
+        [
+            [100.0, 0.0, 5.0],
+            [0.0, 0.0, 1.0],
+            [5.0, 5.0, Z_MIN - 0.01],  # below the height band
+            [-5.0, 5.0, Z_MAX + 0.01],  # above it
+            [-5.0, -5.0, Z_MAX],  # on its inclusive top edge
+        ]
+    )
     img = make_bev(PointCloud(xyz=xyz), 80.0, 64)
-    assert np.count_nonzero(img) == 1
+    assert np.count_nonzero(img) == 2
+    assert img[bin_index(0.0, 0.0, 80.0, 64)] == 1.0 + HEIGHT_OFFSET
+    assert img[bin_index(-5.0, -5.0, 80.0, 64)] == Z_MAX + HEIGHT_OFFSET
 
 
 def test_grid_size_floor():

@@ -253,6 +253,10 @@ def test_trajectory_svg_structure(tmp_path):
     assert body.count("<polyline") == 1
     assert body.count('stroke="green"') == 1
     assert body.count('stroke="red"') == 1
+    trajectory_svg([], [], [], out)
+    root = ET.parse(out).getroot()
+    assert root.tag.endswith("svg")
+    assert "<polyline" not in out.read_text() and "<line" not in out.read_text()
 
 
 def test_run_evaluation_artifacts(trip_report):

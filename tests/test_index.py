@@ -314,6 +314,23 @@ def test_match_rotated_scene_recovers_frame_and_shift():
     assert res.rotation_deg == pytest.approx(45.0)
 
 
+def test_match_takes_its_candidates_from_one_retrieve(monkeypatch):
+    rng = np.random.default_rng(13)
+    idx = KeyframeIndex(exclusion_horizon=2)
+    for i in range(30):
+        idx.insert(i, _rand_desc(rng, 32, 120))
+    calls, real = [], KeyframeIndex.retrieve
+
+    def recording(self, desc, num_candidates):
+        calls.append(real(self, desc, num_candidates))
+        return calls[-1]
+
+    monkeypatch.setattr(KeyframeIndex, "retrieve", recording)
+    res = idx.match(_rand_desc(rng, 32, 120), 5, np.inf, np.inf)
+    assert len(calls) == 1 and len(calls[0]) == 5
+    assert res.candidate_id in [fid for fid, _ in calls[0]]
+
+
 def test_match_is_deterministic():
     rng = np.random.default_rng(12)
     descs = [_rand_desc(rng, 32, 120) for _ in range(40)]

@@ -349,7 +349,7 @@ def test_voxel_centroids_of_nothing_keep_the_dimension(dim):
 
 
 @pytest.mark.parametrize("dim", [2, 3])
-def test_voxel_centroids_lexsort_fallback_on_huge_spans(dim):
+def test_voxel_centroids_unfolded_fallback_on_huge_spans(dim):
     rng = np.random.default_rng(dim)
     pts = rng.uniform(-1e6, 1e6, (300, dim))
     pts[:, 0] = np.round(pts[:, 0], -5)  # shared leading keys
@@ -612,7 +612,7 @@ def test_refine_searches_every_query_centroid_once_then_only_the_unsettled(tree_
     assert sum(rows for rows, _ in tree_searches[1:]) < n
     tree_searches.clear()
     refine_pose_3d(q, c, planar, cfg.voxel_m, max_iters=0)
-    assert tree_searches == [(n, 1)]
+    assert tree_searches == [(n, 2)]  # the seed search stage 2 starts from
 
 
 @pytest.mark.parametrize("budget", [64, STAGE2_QUERY_POINTS])
