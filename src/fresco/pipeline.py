@@ -4,8 +4,9 @@ This is the one module that turns ``Config`` fields into layer calls:
 ``preprocess`` (crop and ground removal), ``describe_preprocessed`` (BEV,
 log spectrum, polar descriptor), ``describe`` (both of those),
 ``compact_2d`` (planar registration input), ``planar_pose`` (two-branch
-planar NICP, keeping the branch with the lower truncated score, see
-``fresco.pose``), ``stage1_pose`` (``planar_pose`` of two raw clouds) and
+planar NICP stepped in lockstep, where the first branch to converge stops
+the other and the lower truncated score wins, see ``fresco.pose``),
+``stage1_pose`` (``planar_pose`` of two raw clouds) and
 ``relative_pose`` (both stages).  The CLI and the evaluation harness call
 these instead of unpacking the config themselves.  ``stage1_pose`` has no
 caller in the package: the planar gates of ``tests/test_acceptance.py`` and

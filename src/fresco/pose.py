@@ -6,7 +6,10 @@ planar alignment from both seeds and keeps the branch with the lower
 truncated score: the mean over all query points of the squared distance to
 the nearest candidate point, each capped at the final gate.  Unlike the
 gated mse, it charges a branch for every point it leaves unexplained, so an
-alias that fits few points closely does not win.
+alias that fits few points closely does not win.  The two branches step in
+lockstep over one k-d tree of the candidate: once one has converged, the
+other stops where it stands and is scored there, and a branch that ends
+without converging lets the other run to its own end.
 """
 
 from __future__ import annotations
@@ -331,18 +334,32 @@ def nicp_2d(
     step is halved until the residual on that iteration's correspondences
     does not increase, so the recorded objective never rises within a step.
     Convergence means the pose update fell below ``_TOL_T_M`` / ``_TOL_YAW_RAD``.
+    The iteration stops without converging when fewer than 3 points match,
+    when no non-worsening step exists, or after ``max_iters`` steps.
     The reported mse is the mean squared distance over correspondences
     gated at ``gate_end_m`` at the final pose (inf when none survive); the
     score is the mean over all source points of the squared distance
     capped at ``gate_end_m``.  Nothing beyond the current gate is searched
     for a correspondence.
+
+    This is one branch of ``estimate_pose_stage1`` run to its end: the same
+    stepper (``_nicp_steps``), which stage 1 may stop early.
     """
-    if min(src.points.shape[0], dst.points.shape[0]) < _MIN_POINTS:
-        raise InsufficientStructureError(f"both clouds need at least {_MIN_POINTS} points")
-    tree = cKDTree(dst.points)
+    (pose,) = _nicp_lockstep(src, dst, (yaw_init,), max_iters, gate_start_m, gate_end_m)
+    return pose
+
+
+def _nicp_steps(src, dst, tree, yaw_init, max_iters, gate_start_m, gate_end_m):
+    """``nicp_2d``'s iteration from one yaw seed, one applied step at a time.
+
+    Yields ``(tx, ty, yaw, trace, converged)`` at the seed and again after
+    each applied step; ``yaw`` is not wrapped and ``trace`` holds the
+    (before, after) objective pair of every step so far.  It ends after the
+    converged step, or where ``nicp_2d`` stops without converging.
+    """
     tx, ty, yaw = 0.0, 0.0, float(yaw_init)
-    converged = False
     trace = []
+    yield tx, ty, yaw, trace, False
     for it in range(max_iters):
         frac = it / max(max_iters - 1, 1)
         gate = gate_start_m + (gate_end_m - gate_start_m) * frac
@@ -350,7 +367,7 @@ def nicp_2d(
         dist, j = _query_within(tree, p, gate)
         m = dist <= gate
         if m.sum() < 3:
-            break
+            return
         pm = p[m]
         qm = dst.points[j[m]]
         nm = dst.normals[j[m]]
@@ -360,7 +377,7 @@ def nicp_2d(
         try:
             step, *_ = np.linalg.lstsq(a, -r, rcond=None)
         except np.linalg.LinAlgError:
-            break
+            return
         dyaw, dtx, dty = (float(v) for v in step)
         after = before
         for _ in range(8):
@@ -370,17 +387,55 @@ def nicp_2d(
                 break
             dyaw, dtx, dty = dyaw / 2.0, dtx / 2.0, dty / 2.0
         if after > before + 1e-15:
-            break  # no non-worsening step exists; stop at this pose
+            return  # no non-worsening step exists; stop at this pose
         yaw = yaw + dyaw
         tx, ty = rot2(dyaw) @ np.array([tx, ty]) + np.array([dtx, dty])
         trace.append((before, after))
-        if np.hypot(dtx, dty) < _TOL_T_M and abs(dyaw) < _TOL_YAW_RAD:
-            converged = True
-            break
-    dist, _ = _query_within(tree, transform_xy(src.points, tx, ty, yaw), gate_end_m)
-    mse = _gated_mse(dist, gate_end_m)
-    score = float((np.minimum(dist, gate_end_m) ** 2).mean())
-    return Se2Pose(float(tx), float(ty), wrap_angle(yaw), mse, score, converged, trace=trace)
+        converged = bool(np.hypot(dtx, dty) < _TOL_T_M and abs(dyaw) < _TOL_YAW_RAD)
+        yield tx, ty, yaw, trace, converged
+        if converged:
+            return
+
+
+def _nicp_lockstep(
+    src: Compact2dCloud,
+    dst: Compact2dCloud,
+    seeds,
+    max_iters: int = Config.nicp_max_iters,
+    gate_start_m: float = Config.nicp_gate_start_m,
+    gate_end_m: float = Config.nicp_gate_end_m,
+) -> list[Se2Pose]:
+    """``nicp_2d`` from each yaw seed, the branches stepped in lockstep over
+    one k-d tree of ``dst``; one ``Se2Pose`` per seed, in seed order.
+
+    Each round gives every running branch one step.  After the round in
+    which a branch converges, every branch stops where it stands.  A branch
+    that ends without converging leaves the others running to their own
+    end.  Each branch is scored at the pose where it stopped, by one final
+    search at ``gate_end_m``.  With one seed this is ``nicp_2d`` run to its end.
+    """
+    if min(src.points.shape[0], dst.points.shape[0]) < _MIN_POINTS:
+        raise InsufficientStructureError(f"both clouds need at least {_MIN_POINTS} points")
+    tree = cKDTree(dst.points)
+    runs = [_nicp_steps(src, dst, tree, s, max_iters, gate_start_m, gate_end_m) for s in seeds]
+    states = [next(run) for run in runs]
+    live = dict(enumerate(runs))
+    while live and not any(converged for *_, converged in states):
+        for k in list(live):
+            state = next(live[k], None)
+            if state is None:
+                del live[k]
+            else:
+                states[k] = state
+    poses = []
+    for tx, ty, yaw, trace, converged in states:
+        dist, _ = _query_within(tree, transform_xy(src.points, tx, ty, yaw), gate_end_m)
+        mse = _gated_mse(dist, gate_end_m)
+        score = float((np.minimum(dist, gate_end_m) ** 2).mean())
+        poses.append(
+            Se2Pose(float(tx), float(ty), wrap_angle(yaw), mse, score, converged, trace=trace)
+        )
+    return poses
 
 
 def estimate_pose_stage1(
@@ -393,12 +448,16 @@ def estimate_pose_stage1(
     """Run planar alignment from both yaw seeds and keep the lower-score branch.
 
     Seeds are the descriptor rotation estimate and that estimate plus 180
-    degrees; a tie keeps the first.  The returned pose maps query-frame
-    points into the candidate frame and carries the chosen branch (0 or 1).
+    degrees.  The two ``nicp_2d`` branches run in lockstep, one step each
+    per round, over one k-d tree of the candidate.  Once one branch has
+    converged, the other stops where it stands and is scored at that pose;
+    a branch that ends without converging lets the other run to its own
+    end.  The lower truncated score wins and a tie keeps the first.  The
+    returned pose maps query-frame points into the candidate frame and
+    carries the chosen branch (0 or 1).
     """
     base = np.radians(shift_to_rotation(best_shift, angular_bins))
-    first = nicp_2d(query, candidate, base, **nicp_kw)
-    second = nicp_2d(query, candidate, base + np.pi, **nicp_kw)
+    first, second = _nicp_lockstep(query, candidate, (base, base + np.pi), **nicp_kw)
     if second.score < first.score:
         second.branch = 1
         return second

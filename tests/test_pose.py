@@ -205,14 +205,50 @@ def test_stage1_resolves_180_ambiguity():
     assert pose.branch in (0, 1)
 
 
-def test_stage1_picks_the_branch_by_truncated_score_not_gated_mse():
-    # a revisit whose 180-degree alias fits fewer points more closely: by
-    # gated mse the alias (ty -7.86, yaw -89.6 degrees) would win
+def _stage1_inputs(moved, scene):
+    """The compact query and candidate, the descriptor shift and the config
+    that stage 1 gets for a revisit of ``scene`` from ``moved``."""
     cfg = Config()
-    scene = synth.generate(synth.SceneSpec(151, pillars=22, walls=9, rings=1, range_limit=30.0))
-    moved = synth.perturb(scene, tx=0.49, ty=1.96, yaw_deg=77.5)
     k = best_shift_l1(describe(moved, cfg), describe(scene, cfg)).best_shift
     q, c = compact_2d(preprocess(moved, cfg), cfg), compact_2d(preprocess(scene, cfg), cfg)
+    return q, c, k, cfg
+
+
+def _alias_case():
+    """A revisit whose 180-degree alias fits fewer points more closely: by
+    gated mse the alias (ty -7.86, yaw -89.6 degrees) would win."""
+    scene = synth.generate(synth.SceneSpec(151, pillars=22, walls=9, rings=1, range_limit=30.0))
+    return _stage1_inputs(synth.perturb(scene, tx=0.49, ty=1.96, yaw_deg=77.5), scene)
+
+
+def _planar_case(t):
+    """A case drawn as the acceptance gate's planar set draws them (offsets
+    to 3 m, any yaw), from its own seed."""
+    rng = np.random.default_rng([2, t])
+    spec = synth.SceneSpec(
+        seed=5000 + t,
+        pillars=int(rng.integers(10, 40)),
+        walls=int(rng.integers(6, 19)),
+        rings=int(rng.integers(1, 5)),
+        range_limit=30.0,
+    )
+    scene = synth.generate(spec)
+    tx, ty = (float(v) for v in rng.uniform(-3.0, 3.0, 2))
+    moved = synth.perturb(scene, tx=tx, ty=ty, yaw_deg=float(rng.uniform(0.0, 360.0)))
+    return _stage1_inputs(moved, scene)
+
+
+def _stage1_by_full_runs(q, c, k, cfg) -> Se2Pose:
+    """The two-branch rule without the lockstep: both ``nicp_2d`` runs go to
+    their end, the lower score is kept and a tie keeps branch 0."""
+    base = np.radians(shift_to_rotation(k, cfg.angular_bins))
+    runs = [nicp_2d(q, c, base + b * np.pi) for b in (0, 1)]
+    b = int(runs[1].score < runs[0].score)
+    return replace(runs[b], branch=b)
+
+
+def test_stage1_picks_the_branch_by_truncated_score_not_gated_mse():
+    q, c, k, cfg = _alias_case()
     base = np.radians(shift_to_rotation(k, cfg.angular_bins))
     true, alias = (nicp_2d(q, c, base + b * np.pi) for b in (0, 1))
     assert alias.mse < true.mse and true.score < alias.score
@@ -220,6 +256,61 @@ def test_stage1_picks_the_branch_by_truncated_score_not_gated_mse():
     assert est.branch == 0
     assert astuple(est)[:6] == astuple(true)[:6]
     assert properties.pose_recovered(est, 0.49, 1.96, 77.5)
+
+
+@pytest.mark.parametrize("case", [*range(20), "alias"])
+def test_stage1_equals_the_lower_score_of_two_full_nicp_runs(case):
+    q, c, k, cfg = _alias_case() if case == "alias" else _planar_case(case)
+    est = planar_pose(q, c, k, cfg)
+    # every field, the objective trace included
+    assert astuple(est) == astuple(_stage1_by_full_runs(q, c, k, cfg))
+
+
+@pytest.fixture
+def nn_searches(monkeypatch):
+    """One entry per ``pose._query_within`` call (a gated nearest-neighbor search)."""
+    searches = []
+    plain = pose_mod._query_within
+
+    def counting(tree, points, gate_m):
+        searches.append(gate_m)
+        return plain(tree, points, gate_m)
+
+    monkeypatch.setattr(pose_mod, "_query_within", counting)
+    return searches
+
+
+def test_stage1_stops_the_losing_branch_once_the_kept_one_converges(nn_searches):
+    q, c, k, cfg = _alias_case()
+    est = planar_pose(q, c, k, cfg)
+    assert est.converged
+    steps = len(est.trace)
+    assert steps < cfg.nicp_max_iters
+    # a search per step and one for the final score, per branch: the loser
+    # took at most as many steps as the winner before it stopped
+    assert len(nn_searches) <= 2 * (steps + 1)
+
+
+@pytest.mark.parametrize("alias_branch", [0, 1])
+def test_a_branch_that_ends_unconverged_leaves_the_other_running(alias_branch, nn_searches):
+    # the structure sits 40 m out along x, so the 180-degree seed turns every
+    # query point 80 m away from the candidate: its first search matches none
+    src = _moved_copy(_compact(_scene(57)), 40.0, 0.0, 0.0)
+    dst = _moved_copy(src, 1.0, -0.5, np.radians(30.0))
+    shift = 70 - 60 * alias_branch  # the first seed: 210 or 30 degrees at 120 bins
+    est = estimate_pose_stage1(src, dst, shift, 120)
+    searched = len(nn_searches)
+    alias, full = (
+        nicp_2d(src, dst, np.radians(shift_to_rotation(shift, 120)) + b * np.pi)
+        for b in (alias_branch, 1 - alias_branch)
+    )
+    assert alias.trace == [] and not alias.converged
+    assert est.branch == 1 - alias_branch
+    assert est.converged and len(est.trace) > 1
+    assert astuple(est) == astuple(replace(full, branch=est.branch))
+    # the alias: its one search and its final score; the kept branch: its
+    # steps and its final score
+    assert searched == 2 + len(est.trace) + 1
 
 
 def test_nicp_score_caps_each_source_point_at_the_final_gate():
