@@ -8,6 +8,7 @@ format problem, 3 degenerate input data (e.g. an all-ground scan).
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 import time
@@ -17,13 +18,7 @@ import numpy as np
 
 from . import matching, properties, synth
 from .cloud import FormatError
-from .config import (
-    Config,
-    ConfigError,
-    apply_overrides,
-    load_config,
-    validate,
-)
+from .config import Config, ConfigError, apply_overrides, load_config
 from .datasets import load_dataset, load_scan
 from .evaluate import json_safe, pose_fields, run_evaluation
 from .index import DegenerateDescriptorError, KeyframeIndex, make_key
@@ -94,8 +89,8 @@ def _load_cfg(args) -> Config:
     if args.overrides:
         cfg = apply_overrides(cfg, args.overrides)
     if getattr(args, "stage2", None):
-        cfg = apply_overrides(cfg, [f"stage2={args.stage2 == 'on'}"])
-    return validate(cfg)
+        cfg = dataclasses.replace(cfg, stage2=args.stage2 == "on")
+    return cfg
 
 
 @contextmanager
@@ -111,7 +106,7 @@ def cmd_build(args, cfg: Config) -> int:
     dataset = load_dataset(args.dataset, args.format)
     if not dataset.scans:
         print(f"warning: no scans found under {dataset.root}", file=sys.stderr)
-    idx = KeyframeIndex(exclusion_horizon=cfg.exclusion_horizon)
+    idx = KeyframeIndex()  # build only inserts and saves; the file stores no horizon
     t0 = time.perf_counter()
     for fid, scan in dataset.scans.items():
         with _naming(scan):
@@ -123,7 +118,9 @@ def cmd_build(args, cfg: Config) -> int:
 
 
 def cmd_query(args, cfg: Config) -> int:
-    idx = KeyframeIndex.load(args.index, exclusion_horizon=cfg.exclusion_horizon)
+    # the exclusion horizon keeps a vehicle from matching the scene it is in;
+    # a saved map holds no such scene, so every map frame may be returned
+    idx = KeyframeIndex.load(args.index, exclusion_horizon=0)
     if len(idx):
         shape = idx.descriptor(idx.ids[0]).shape
         for field, have in zip(("radial_bins", "angular_bins"), shape):

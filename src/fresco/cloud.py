@@ -170,6 +170,17 @@ def clip_height_band(cloud: PointCloud) -> PointCloud:
     return cloud.select((z >= Z_MIN) & (z <= Z_MAX))
 
 
+def grid_cells(x: np.ndarray, y: np.ndarray, cell_m: float) -> tuple[np.ndarray, int, int]:
+    """The x-y floor grid of ``cell_m`` cells anchored at the points' minimum
+    x and y: each point's flat cell id ``row * cols + col`` (row from x,
+    column from y), with the grid's ``rows`` and ``cols``.  Points must be
+    non-empty."""
+    row = np.floor((x - x.min()) / cell_m).astype(np.int64)
+    col = np.floor((y - y.min()) / cell_m).astype(np.int64)
+    rows, cols = int(row.max()) + 1, int(col.max()) + 1
+    return row * cols + col, rows, cols
+
+
 def _neighbor_median(grid: np.ndarray, cells: np.ndarray) -> np.ndarray:
     """Median of the finite 8-neighbors of each flat cell index; NaN when none is.
 
@@ -230,10 +241,7 @@ def remove_ground(
         return sub
     # a loaded scan's xyz is a strided view of its (n, 4) records
     x, y, z = sub.xyz.T.copy()
-    ci = np.floor((x - x.min()) / cell_m).astype(np.int64)
-    cj = np.floor((y - y.min()) / cell_m).astype(np.int64)
-    nr, nc = int(ci.max()) + 1, int(cj.max()) + 1
-    cid = ci * nc + cj
+    cid, nr, nc = grid_cells(x, y, cell_m)
     ncell = nr * nc
 
     floor = np.full(ncell, np.nan)

@@ -45,10 +45,11 @@ _FIELDS = {f.name: f for f in dataclasses.fields(Config)}
 _LENGTHS_M = ("window_m", "ground_cell_m", "ground_margin_m", "coarse_grid_m", "voxel_m",
               "nicp_gate_start_m")  # finite; the thresholds may be inf, meaning no gate
 # MAX_GRID_SIDE**2 (about 4.2e6) entries cap every dense per-scan array: the
-# per-cell arrays of ground removal and compaction (every grid is laid over the
-# window_m crop, so window_m / cell bounds its side), the grid_size**2 BEV image
-# and its FFT, and the (angular_bins // 2) x (radial_bins * angular_bins) table
-# that the shift search builds per query.
+# per-cell arrays of ground removal and compaction (each laid on the
+# cloud.grid_cells grid of its cell size over the window_m crop, so
+# window_m / cell bounds its side), the grid_size**2 BEV image and its FFT,
+# and the (angular_bins // 2) x (radial_bins * angular_bins) table that the
+# shift search builds per query.
 MAX_GRID_SIDE = 2048
 # MAX_WORK_FACTOR caps each count that multiplies a query's registration work:
 # the planar ICP's iterations (nicp_max_iters, run for two branches per pose),

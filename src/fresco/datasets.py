@@ -46,8 +46,12 @@ _SCAN_SUFFIXES = (".bin", ".txt", ".xyz")
 @dataclass(frozen=True)
 class TrajectoryPose:
     frame_id: int
-    position: np.ndarray  # (3,) meters, world frame
     matrix: np.ndarray  # (4, 4) sensor-to-world
+
+    @property
+    def position(self) -> np.ndarray:
+        """The sensor origin in the world frame, meters: a (3,) view of ``matrix``."""
+        return self.matrix[:3, 3]
 
 
 @dataclass
@@ -116,7 +120,7 @@ def load_kitti_poses(path, sensor_to_cam: np.ndarray | None = None) -> list[Traj
                 m = m @ sensor_to_cam
         if not np.isfinite(m).all():
             raise FormatError(f"{path}:{lineno + 1}: non-finite pose")
-        poses.append(TrajectoryPose(lineno, m[:3, 3].copy(), m))
+        poses.append(TrajectoryPose(lineno, m))
     return poses
 
 
@@ -153,7 +157,7 @@ def load_generic_poses(path) -> list[TrajectoryPose]:
         if last_id is not None and fid <= last_id:
             raise FormatError(f"{path}:{lineno + 1}: frame ids must be strictly increasing")
         last_id = fid
-        poses.append(TrajectoryPose(fid, m[:3, 3].copy(), m))
+        poses.append(TrajectoryPose(fid, m))
     return poses
 
 

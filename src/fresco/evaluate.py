@@ -104,7 +104,6 @@ class PrPoint:
 class PrSweep:
     points: list[PrPoint]
     best: PrPoint
-    n_queries: int
     n_eligible: int  # queries for which a positive existed
     recall_eligible: float | None  # best-point TP over eligible queries
     recall_all: float | None  # best-point TP over all queries
@@ -148,7 +147,6 @@ def pr_sweep(records: list[QueryRecord], cosine_threshold: float = np.inf) -> Pr
     return PrSweep(
         points=points,
         best=best,
-        n_queries=n,
         n_eligible=n_pos,
         recall_eligible=None if degenerate else best.tp / n_pos,
         recall_all=None if n == 0 else best.tp / n,

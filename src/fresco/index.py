@@ -19,6 +19,8 @@ from .pose import shift_to_rotation
 
 _MAGIC = b"FRIX"
 _VERSION = 2
+# magic, version, descriptor rows, descriptor columns, entry count
+_HEADER = struct.Struct("<4sIIIQ")
 _REBUILD_EVERY = 64  # eligible keys outside the k-d tree that trigger a rebuild
 # A rounding allowance, not a setting: tree distances sum the same squared differences
 # in another order, so two closer than this relative gap may tie in the exact arithmetic.
@@ -175,10 +177,10 @@ class KeyframeIndex:
         return MatchResult(ids[best], d_l1, d_r, shift, rotation, accepted)
 
     def save(self, path) -> None:
-        """Write the header, every frame id as u64, then every descriptor as
+        """Write the ``_HEADER``, every frame id as u64, then every descriptor as
         row-major float32, all little-endian.  Keys are derived, not stored."""
         rows, cols = self._descs[0].shape if self._descs else (0, 0)
-        header = _MAGIC + struct.pack("<IIIQ", _VERSION, rows, cols, len(self._ids))
+        header = _HEADER.pack(_MAGIC, _VERSION, rows, cols, len(self._ids))
         ids = np.asarray(self._ids, dtype="<u8").tobytes()
         descs = np.asarray(self._descs, dtype="<f4").tobytes()
         Path(path).write_bytes(header + ids + descs)
@@ -188,15 +190,15 @@ class KeyframeIndex:
         """Read a file written by ``save``; the result is exactly the index
         built by inserting the stored float32 descriptors in file order."""
         raw = Path(path).read_bytes()
-        if len(raw) < 24 or raw[:4] != _MAGIC:
+        if len(raw) < _HEADER.size or raw[:4] != _MAGIC:
             raise FormatError(f"{path}: not an index file (bad magic)")
-        version, rows, cols, count = struct.unpack("<IIIQ", raw[4:24])
+        _, version, rows, cols, count = _HEADER.unpack_from(raw)
         if version != _VERSION:
             raise FormatError(
                 f"{path}: index version {version} is not readable (expected {_VERSION}); "
                 "rebuild it with `fresco build`"
             )
-        expect = 24 + count * (8 + 4 * rows * cols)
+        expect = _HEADER.size + count * (8 + 4 * rows * cols)
         if len(raw) != expect:
             raise FormatError(
                 f"{path}: {len(raw)} bytes, expected {expect} for {count} {rows}x{cols} entries"
@@ -204,8 +206,9 @@ class KeyframeIndex:
         idx = cls(exclusion_horizon=exclusion_horizon)
         if not count:  # rows x cols of an empty file need not fit an array
             return idx
-        ids = np.frombuffer(raw, dtype="<u8", count=count, offset=24).tolist()
-        descs = np.frombuffer(raw, dtype="<f4", offset=24 + 8 * count).reshape(count, rows, cols)
+        start = _HEADER.size
+        ids = np.frombuffer(raw, dtype="<u8", count=count, offset=start).tolist()
+        descs = np.frombuffer(raw, dtype="<f4", offset=start + 8 * count).reshape(count, rows, cols)
         finite = np.isfinite(descs).all(axis=(1, 2))
         if not finite.all():
             fid = ids[np.argmin(finite)]

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.spatial import cKDTree
 
-from .cloud import PointCloud
+from .cloud import PointCloud, grid_cells
 from .config import Config
 
 
@@ -29,6 +29,13 @@ STAGE2_SUCCESS_MSE = 1.5
 # Stage 2 registers at most this many query centroids, evenly spaced in voxel
 # key order (``_spaced_picks``); the candidate tree keeps every centroid.
 STAGE2_QUERY_POINTS = 3072
+# Stage 2's iteration budget, and its correspondence gate (m), annealed from
+# the start value to the end value over those iterations (``_gate_at``).
+STAGE2_MAX_ITERS = 20
+STAGE2_GATE_START_M, STAGE2_GATE_END_M = 2.0, 0.5
+# A stage-1 step is tried at most this many times, halved after each try that
+# raises its objective by more than the rounding allowance.
+_STEP_HALVINGS, _RISE_TOL = 8, 1e-15
 _TOL_T_M, _TOL_YAW_RAD = 1e-3, 1e-4  # an ICP step smaller than both has converged
 _MIN_POINTS = 10  # fewest structure points a cloud is registered with
 
@@ -216,6 +223,13 @@ def _requery_within(tree: cKDTree, points: np.ndarray, gate_m: float, cache=None
     return dist, idx, cache
 
 
+def _gate_at(it: int, max_iters: int, start_m: float, end_m: float) -> float:
+    """The correspondence gate of iteration ``it`` of ``max_iters``: linear
+    from ``start_m`` at the first iteration to ``end_m`` at the last."""
+    frac = it / max(max_iters - 1, 1)
+    return start_m + (end_m - start_m) * frac
+
+
 def _spaced_picks(size, count: int) -> np.ndarray:
     """``np.linspace(0, size - 1, count).round()`` as int64 positions: one
     row for an integer ``size``, one row per entry of an array of sizes.
@@ -267,11 +281,8 @@ def extract_compact_2d(
     if len(cloud) < _MIN_POINTS:
         raise InsufficientStructureError(f"{len(cloud)} points, need at least {_MIN_POINTS}")
     x, y, z = xyz.T
-    ci = np.floor((x - x.min()) / coarse_grid_m).astype(np.int64)
-    cj = np.floor((y - y.min()) / coarse_grid_m).astype(np.int64)
-    nc = int(cj.max()) + 1
-    cid = ci * nc + cj
-    ncell = (int(ci.max()) + 1) * nc
+    cid, rows, cols = grid_cells(x, y, coarse_grid_m)
+    ncell = rows * cols
     zmin = np.full(ncell, np.inf)
     zmax = np.full(ncell, -np.inf)
     np.minimum.at(zmin, cid, z)
@@ -332,7 +343,8 @@ def nicp_2d(
     gate anneals linearly from ``gate_start_m`` to ``gate_end_m`` so early
     iterations can absorb multi-meter revisit offsets.  Each Gauss-Newton
     step is halved until the residual on that iteration's correspondences
-    does not increase, so the recorded objective never rises within a step.
+    does not increase, trying at most ``_STEP_HALVINGS`` step sizes, so the
+    recorded objective never rises within a step.
     Convergence means the pose update fell below ``_TOL_T_M`` / ``_TOL_YAW_RAD``.
     The iteration stops without converging when fewer than 3 points match,
     when no non-worsening step exists, or after ``max_iters`` steps.
@@ -361,8 +373,7 @@ def _nicp_steps(src, dst, tree, yaw_init, max_iters, gate_start_m, gate_end_m):
     trace = []
     yield tx, ty, yaw, trace, False
     for it in range(max_iters):
-        frac = it / max(max_iters - 1, 1)
-        gate = gate_start_m + (gate_end_m - gate_start_m) * frac
+        gate = _gate_at(it, max_iters, gate_start_m, gate_end_m)
         p = transform_xy(src.points, tx, ty, yaw)
         dist, j = _query_within(tree, p, gate)
         m = dist <= gate
@@ -379,14 +390,13 @@ def _nicp_steps(src, dst, tree, yaw_init, max_iters, gate_start_m, gate_end_m):
         except np.linalg.LinAlgError:
             return
         dyaw, dtx, dty = (float(v) for v in step)
-        after = before
-        for _ in range(8):
+        for _ in range(_STEP_HALVINGS):
             pn = pm @ rot2(dyaw).T + np.array([dtx, dty])
             after = float((((pn - qm) * nm).sum(axis=1) ** 2).mean())
-            if after <= before + 1e-15:
+            if after <= before + _RISE_TOL:
                 break
             dyaw, dtx, dty = dyaw / 2.0, dtx / 2.0, dty / 2.0
-        if after > before + 1e-15:
+        else:
             return  # no non-worsening step exists; stop at this pose
         yaw = yaw + dyaw
         tx, ty = rot2(dyaw) @ np.array([tx, ty]) + np.array([dtx, dty])
@@ -470,9 +480,9 @@ def refine_pose_3d(
     candidate: PointCloud,
     init: Se2Pose,
     voxel_m: float = Config.voxel_m,
-    max_iters: int = 20,
-    gate_start_m: float = 2.0,
-    gate_end_m: float = 0.5,
+    max_iters: int = STAGE2_MAX_ITERS,
+    gate_start_m: float = STAGE2_GATE_START_M,
+    gate_end_m: float = STAGE2_GATE_END_M,
     query_points: int = STAGE2_QUERY_POINTS,
 ) -> Se3Pose:
     """Point-to-point 3D refinement of a planar pose.
@@ -516,8 +526,7 @@ def refine_pose_3d(
     init_mse = _gated_mse(dist, gate_end_m)
     converged = False
     for it in range(max_iters):
-        frac = it / max(max_iters - 1, 1)
-        gate = gate_start_m + (gate_end_m - gate_start_m) * frac
+        gate = _gate_at(it, max_iters, gate_start_m, gate_end_m)
         if it:
             p = a @ t[:3, :3].T + t[:3, 3]
             dist, j, cache = _requery_within(tree, p, gate, cache)

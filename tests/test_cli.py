@@ -165,6 +165,20 @@ def test_query_without_dataset_has_no_pose(places, capsys):
     assert json.loads(capsys.readouterr().out)["pose"] is None
 
 
+def test_query_can_return_the_newest_map_frame_at_the_default_config(places, tmp_path, capsys):
+    # the exclusion horizon (30 by default) is an eval rule; a map has no current scene
+    root, _, _ = places
+    three = tmp_path / "three"
+    three.mkdir()
+    for i in range(3):
+        (three / f"{i:06d}.bin").write_bytes((root / f"{i:06d}.bin").read_bytes())
+    index = tmp_path / "three.frix"
+    assert main(["build", "--dataset", str(three), "--out", str(index)]) == 0
+    capsys.readouterr()
+    assert main(["query", str(three / "000002.bin"), "--index", str(index)]) == 0
+    assert json.loads(capsys.readouterr().out)["match"] == 2
+
+
 def test_eval_single_revisit_reaches_perfect_f1(loop_dataset, tmp_path, capsys):
     out = tmp_path / "cover"
     code = main(["eval", "--dataset", str(loop_dataset), "--out", str(out)])

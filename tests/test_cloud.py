@@ -15,6 +15,7 @@ from fresco.cloud import (
     PointCloud,
     clip_height_band,
     crop_window,
+    grid_cells,
     load_ascii_cloud,
     load_kitti_bin,
     remove_ground,
@@ -138,6 +139,17 @@ def _ground_plane(z=-1.7, span=12.0, step=0.4):
     g = np.arange(-span, span + 1e-9, step)
     gx, gy = np.meshgrid(g, g)
     return np.column_stack([gx.ravel(), gy.ravel(), np.full(gx.size, z)])
+
+
+def test_grid_cells_anchor_at_the_minimum_and_number_rows_from_x():
+    # 2 m cells anchored at (-3, -2); (-1, 0) sits exactly on a row edge and a column edge
+    x = np.array([-3.0, -1.0, 0.5, -3.0, -2.9])
+    y = np.array([-2.0, 0.0, -2.0, 1.5, 2.5])
+    cid, rows, cols = grid_cells(x, y, 2.0)
+    # (row, col): (0, 0), (1, 1), (1, 0), (0, 1), (0, 2)
+    assert (rows, cols) == (2, 3)
+    assert cid.dtype == np.int64
+    assert cid.tolist() == [0, 4, 3, 1, 2]
 
 
 def test_remove_ground_flat_plane_vanishes():

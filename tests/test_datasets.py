@@ -1,10 +1,13 @@
 """Dataset discovery and pose-file parsing for both on-disk layouts."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
 from fresco.cloud import FormatError
 from fresco.datasets import (
+    TrajectoryPose,
     load_dataset,
     load_generic_poses,
     load_kitti_calib,
@@ -91,6 +94,17 @@ def test_kitti_poses_overflowing_the_calib_are_non_finite(tmp_path):
     # the overflow is reported as a FormatError, not as a numpy RuntimeWarning
     with pytest.raises(FormatError, match="poses.txt:1: non-finite"):
         load_kitti_poses(p, sensor_to_cam=np.diag([1e308, 1.0, 1.0, 1.0]))
+
+
+def test_trajectory_pose_position_is_a_view_of_its_matrix():
+    m = np.eye(4)
+    m[:3, 3] = [1.0, -2.0, 3.5]
+    pose = TrajectoryPose(7, m)
+    assert [f.name for f in dataclasses.fields(TrajectoryPose)] == ["frame_id", "matrix"]
+    np.testing.assert_array_equal(pose.position, m[:3, 3])
+    assert np.shares_memory(pose.position, m)
+    with pytest.raises(AttributeError):
+        pose.position = np.zeros(3)
 
 
 def test_generic_poses_five_field_form(tmp_path):

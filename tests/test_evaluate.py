@@ -27,7 +27,7 @@ from fresco.pose import Se3Pose
 def _pose(fid, x, y, z=0.0):
     m = np.eye(4)
     m[:3, 3] = [x, y, z]
-    return TrajectoryPose(fid, np.array([x, y, z], dtype=float), m)
+    return TrajectoryPose(fid, m)
 
 
 def test_sample_single_pose():

@@ -345,6 +345,18 @@ def test_match_is_deterministic():
     assert runs[0] == runs[1]
 
 
+def test_a_saved_file_starts_with_the_24_byte_header(tmp_path):
+    assert index_module._HEADER.size == 24
+    rng = np.random.default_rng(3)
+    idx = KeyframeIndex(exclusion_horizon=0)
+    for fid in (4, 9, 11):
+        idx.insert(fid, _rand_desc(rng))
+    path = tmp_path / "h.frix"
+    idx.save(path)
+    # magic, then u32 version, rows, columns and a u64 entry count
+    assert path.read_bytes()[:24] == b"FRIX" + struct.pack("<IIIQ", 2, 8, 12, 3)
+
+
 def test_save_load_round_trip(tmp_path):
     rng = np.random.default_rng(13)
     idx = KeyframeIndex(exclusion_horizon=0)

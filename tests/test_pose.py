@@ -17,6 +17,9 @@ from fresco.config import Config
 from fresco.matching import best_shift_l1
 from fresco.pipeline import compact_2d, describe, planar_pose, preprocess, relative_pose
 from fresco.pose import (
+    STAGE2_GATE_END_M,
+    STAGE2_GATE_START_M,
+    STAGE2_MAX_ITERS,
     STAGE2_QUERY_POINTS,
     STAGE2_SUCCESS_MSE,
     Compact2dCloud,
@@ -500,15 +503,15 @@ def test_refine_pass_through_reports_the_seed_alignment_mse(seed):
 
 
 def _refine_pose_3d_by_full_search(
-    query, candidate, init, voxel_m=0.4, max_iters=20, gate_start_m=2.0, gate_end_m=0.5,
-    budget=STAGE2_QUERY_POINTS,
+    query, candidate, init, voxel_m=Config.voxel_m, max_iters=STAGE2_MAX_ITERS,
+    gate_start_m=STAGE2_GATE_START_M, gate_end_m=STAGE2_GATE_END_M, budget=STAGE2_QUERY_POINTS,
 ):
     """The former ``refine_pose_3d``, kept as the oracle: every iteration and
     the final score search the tree for every sampled query centroid."""
     a = _stage2_sample(pose_mod._voxel_centroids(query.xyz, voxel_m), budget)
     b = pose_mod._voxel_centroids(candidate.xyz, voxel_m)
     t = se2_to_matrix(init)
-    if a.shape[0] < 10 or b.shape[0] < 10:
+    if a.shape[0] < pose_mod._MIN_POINTS or b.shape[0] < pose_mod._MIN_POINTS:
         return matrix_to_se3(t, mse=np.inf, converged=False, success=False)
     tree = cKDTree(b)
     seed = pose_mod._query_within(
@@ -538,7 +541,7 @@ def _refine_pose_3d_by_full_search(
         delta[:3, 3] = tvec
         t = delta @ t
         angle = np.arccos(np.clip((np.trace(r) - 1.0) / 2.0, -1.0, 1.0))
-        if np.linalg.norm(tvec) < 1e-3 and angle < 1e-4:
+        if np.linalg.norm(tvec) < pose_mod._TOL_T_M and angle < pose_mod._TOL_YAW_RAD:
             converged = True
             break
     if converged:
