@@ -13,7 +13,7 @@ import numpy as np
 from fresco import synth
 from fresco.config import Config
 from fresco.index import KeyframeIndex
-from fresco.pipeline import compact_2d, describe_preprocessed, planar_pose, preprocess
+from fresco.pipeline import compact_2d, describe_preprocessed, match, planar_pose, preprocess
 
 REVISITS = {60: (12, 170.0), 61: (30, 85.0), 62: (47, -15.0)}
 
@@ -37,7 +37,7 @@ def main() -> None:
     pres = [preprocess(cloud, cfg) for cloud in clouds]  # each frame preprocessed once
     for fid, pre in enumerate(pres):
         desc = describe_preprocessed(pre, cfg)
-        res = idx.match(desc, cfg.num_candidates, cfg.l1_threshold, cfg.cosine_threshold)
+        res = match(idx, desc, cfg)
         if res.accepted:
             closures += 1
             query, candidate = (compact_2d(p, cfg) for p in (pre, pres[res.candidate_id]))

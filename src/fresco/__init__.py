@@ -54,6 +54,7 @@ from .pipeline import (
     compact_2d,
     describe,
     describe_preprocessed,
+    match,
     planar_pose,
     preprocess,
     relative_pose,

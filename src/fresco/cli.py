@@ -22,7 +22,7 @@ from .config import Config, ConfigError, apply_overrides, load_config
 from .datasets import load_dataset, load_scan
 from .evaluate import json_safe, pose_fields, run_evaluation
 from .index import DegenerateDescriptorError, KeyframeIndex, make_key
-from .pipeline import describe, describe_preprocessed, preprocess, relative_pose
+from .pipeline import describe, describe_preprocessed, match, preprocess, relative_pose
 from .pose import InsufficientStructureError
 
 
@@ -130,16 +130,20 @@ def cmd_query(args, cfg: Config) -> int:
     query = preprocess(load_scan(args.cloud), cfg)
     desc = describe_preprocessed(query, cfg)
     with _naming(args.cloud):
-        res = idx.match(desc, cfg.num_candidates, cfg.l1_threshold, cfg.cosine_threshold)
+        res = match(idx, desc, cfg)
     pose = None
     if res.accepted and args.dataset:
         dataset = load_dataset(args.dataset, args.format)
-        if res.candidate_id in dataset.scans:
-            path = dataset.scans[res.candidate_id]
-            candidate = preprocess(load_scan(path), cfg)
-            with _naming(f"{args.cloud} against {path}"):
-                est = relative_pose(query, candidate, res.best_shift, cfg)
-            pose = pose_fields(est)
+        if res.candidate_id not in dataset.scans:
+            raise FileNotFoundError(
+                f"{args.dataset}: no scan of frame {res.candidate_id}, the match in"
+                f" {args.index}; --dataset must hold the scans the index was built from"
+            )
+        path = dataset.scans[res.candidate_id]
+        candidate = preprocess(load_scan(path), cfg)
+        with _naming(f"{args.cloud} against {path}"):
+            est = relative_pose(query, candidate, res.best_shift, cfg)
+        pose = pose_fields(est)
     out = {
         "match": res.candidate_id if res.accepted else None,
         "d_l1": res.d_l1,

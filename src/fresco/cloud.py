@@ -28,6 +28,7 @@ class FormatError(Exception):
 @dataclass
 class PointCloud:
     """3D points in the sensor frame, meters. Point order carries no meaning.
+    A cloud holds no frame id; ``Dataset.scans`` maps frame ids to scan files.
 
     Clouds are treated as immutable: filters may return a cloud whose arrays
     are shared with (or views of) their input's, so write to a cloud's
@@ -36,7 +37,6 @@ class PointCloud:
 
     xyz: np.ndarray
     intensity: np.ndarray | None = None
-    frame_id: int = 0
     dropped: int = 0  # non-finite records discarded by a loader
 
     def __post_init__(self):
@@ -60,28 +60,28 @@ class PointCloud:
             if idx.shape != (len(self),):
                 raise IndexError(f"mask of shape {idx.shape} for {len(self)} points")
             if idx.all():
-                return PointCloud(self.xyz, self.intensity, self.frame_id, self.dropped)
+                return PointCloud(self.xyz, self.intensity, self.dropped)
             idx = np.flatnonzero(idx)
         inten = None if self.intensity is None else self.intensity.take(idx)
-        return PointCloud(self.xyz.take(idx, axis=0), inten, self.frame_id, self.dropped)
+        return PointCloud(self.xyz.take(idx, axis=0), inten, self.dropped)
 
 
-def empty_cloud(frame_id: int = 0) -> PointCloud:
-    return PointCloud(np.empty((0, 3)), None, frame_id)
+def empty_cloud() -> PointCloud:
+    return PointCloud(np.empty((0, 3)))
 
 
-def load_kitti_bin(path, frame_id: int = 0) -> PointCloud:
+def load_kitti_bin(path) -> PointCloud:
     """Read a KITTI velodyne scan: little-endian float32 (x, y, z, intensity) records.
 
     Non-finite records are dropped and counted in ``cloud.dropped``.  A file
-    whose size is not a multiple of 16 bytes is rejected.
+    whose size is not a multiple of 16 bytes is rejected.  Its name is not read.
     """
     raw = Path(path).read_bytes()
     if len(raw) % 16 != 0:
         offset = len(raw) - (len(raw) % 16)
         raise FormatError(f"{path}: truncated 16-byte record at byte offset {offset}")
     if not raw:
-        return empty_cloud(frame_id)
+        return empty_cloud()
     rec = np.frombuffer(raw, dtype="<f4").reshape(-1, 4)
     finite = np.isfinite(rec)
     dropped = 0
@@ -91,7 +91,7 @@ def load_kitti_bin(path, frame_id: int = 0) -> PointCloud:
         dropped = len(rec) - len(keep)
         rec = rec.take(keep, axis=0)
     arr = rec.astype(np.float64)
-    return PointCloud(arr[:, :3], arr[:, 3], frame_id, dropped)
+    return PointCloud(arr[:, :3], arr[:, 3], dropped)
 
 
 def read_text_lines(path) -> list[str]:
@@ -112,12 +112,12 @@ def parse_floats(fields, where: str) -> list[float]:
         raise FormatError(f"{where}: non-numeric field") from None
 
 
-def load_ascii_cloud(path, frame_id: int = 0) -> PointCloud:
+def load_ascii_cloud(path) -> PointCloud:
     """Read a whitespace-separated text cloud: ``x y z [intensity]`` per line.
 
     The file is UTF-8 text.  Blank lines and ``#`` comments are ignored.
     Lines with any other column count are rejected with the offending line
-    number.
+    number.  Non-finite rows are counted in ``cloud.dropped``; the name is not read.
     """
     rows = []
     has_intensity = None
@@ -139,12 +139,10 @@ def load_ascii_cloud(path, frame_id: int = 0) -> PointCloud:
             continue
         rows.append(vals)
     if not rows:
-        out = empty_cloud(frame_id)
-        out.dropped = dropped
-        return out
+        return PointCloud(np.empty((0, 3)), None, dropped)
     arr = np.asarray(rows, dtype=np.float64)
     inten = arr[:, 3] if has_intensity else None
-    return PointCloud(arr[:, :3], inten, frame_id, dropped)
+    return PointCloud(arr[:, :3], inten, dropped)
 
 
 def save_ascii_cloud(cloud: PointCloud, path) -> None:
@@ -279,4 +277,4 @@ def remove_ground(
     keep = np.flatnonzero(~ground)
     xyz = np.column_stack((x.take(keep), y.take(keep), z.take(keep)))
     inten = None if sub.intensity is None else sub.intensity.take(keep)
-    return PointCloud(xyz, inten, sub.frame_id, sub.dropped)
+    return PointCloud(xyz, inten, sub.dropped)

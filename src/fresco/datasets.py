@@ -64,12 +64,12 @@ class Dataset:
 
 
 def load_scan(path) -> PointCloud:
-    """Read one scan file, dispatching on suffix in any case; stem becomes the frame id."""
+    """Read one scan file, dispatching on suffix in any case.  The name is not
+    parsed: a scan's frame id is its key in ``Dataset.scans``."""
     path = Path(path)
-    stem_id = _stem_id(path) or 0
     if path.suffix.lower() == ".bin":
-        return load_kitti_bin(path, frame_id=stem_id)
-    return load_ascii_cloud(path, frame_id=stem_id)
+        return load_kitti_bin(path)
+    return load_ascii_cloud(path)
 
 
 def _stem_id(path: Path) -> int | None:

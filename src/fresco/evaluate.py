@@ -353,7 +353,7 @@ def run_evaluation(
         del scan  # not needed past here; holding it through the pose raises peak memory
         try:
             with timer.phase("retrieval"):
-                res = idx.match(desc, cfg.num_candidates, cfg.l1_threshold, cfg.cosine_threshold)
+                res = pipeline.match(idx, desc, cfg)
         except DegenerateDescriptorError:
             # structure-free frame: flagged and left out of the index
             degenerate_frames += 1

@@ -2,13 +2,15 @@
 
 This is the one module that turns ``Config`` fields into layer calls:
 ``preprocess`` (crop and ground removal), ``describe_preprocessed`` (BEV,
-log spectrum, polar descriptor), ``describe`` (both of those),
-``compact_2d`` (planar registration input), ``planar_pose`` (two-branch
-planar NICP stepped in lockstep, where the first branch to converge stops
-the other and the lower truncated score wins, see ``fresco.pose``),
-``stage1_pose`` (``planar_pose`` of two raw clouds) and
-``relative_pose`` (both stages).  The CLI and the evaluation harness call
-these instead of unpacking the config themselves.  ``stage1_pose`` has no
+log spectrum, polar descriptor), ``describe`` (both of those), ``match``
+(an index's decision at the configured thresholds), ``compact_2d``
+(planar registration input), ``planar_pose`` (two-branch planar NICP
+stepped in lockstep, where the first branch to converge stops the other
+and the lower truncated score wins, see ``fresco.pose``), ``stage1_pose``
+(``planar_pose`` of two raw clouds) and ``relative_pose`` (both stages).
+The CLI and the evaluation harness call these instead of unpacking the
+config themselves.  The clouds they take carry points only: a scan's
+frame id is its key in ``Dataset.scans``.  ``stage1_pose`` has no
 caller in the package: the planar gates of ``tests/test_acceptance.py`` and
 the benchmark's ``relocalize`` round use it, until that round times
 ``relative_pose`` instead.
@@ -25,6 +27,7 @@ from . import pose
 from .bev import make_bev
 from .cloud import PointCloud, crop_window, remove_ground
 from .config import Config
+from .index import KeyframeIndex, MatchResult
 from .pose import Compact2dCloud, Se2Pose, Se3Pose, estimate_pose_stage1, extract_compact_2d
 from .spectrum import log_spectrum, polar_unroll
 
@@ -44,6 +47,11 @@ def describe_preprocessed(pre: PointCloud, cfg: Config) -> np.ndarray:
 def describe(cloud: PointCloud, cfg: Config) -> np.ndarray:
     """Full descriptor pipeline: ``describe_preprocessed`` of ``preprocess``."""
     return describe_preprocessed(preprocess(cloud, cfg), cfg)
+
+
+def match(index: KeyframeIndex, desc: np.ndarray, cfg: Config) -> MatchResult:
+    """``index.match`` with the configured candidate count and acceptance thresholds."""
+    return index.match(desc, cfg.num_candidates, cfg.l1_threshold, cfg.cosine_threshold)
 
 
 def compact_2d(pre: PointCloud, cfg: Config) -> Compact2dCloud:

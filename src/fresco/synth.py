@@ -116,7 +116,7 @@ def generate(spec: SceneSpec) -> PointCloud:
     xyz = xyz[keep]
     if spec.occlusion is not None:
         xyz = xyz[~_occlusion_mask(xyz[:, :2], *spec.occlusion)]
-    return PointCloud(xyz, frame_id=spec.seed)
+    return PointCloud(xyz)
 
 
 def perturb(
@@ -137,7 +137,7 @@ def perturb(
     rot_inv = np.array([[c, s], [-s, c]])
     xy = (cloud.xyz[:, :2] - np.array([tx, ty])) @ rot_inv.T
     xyz = np.column_stack([xy, cloud.xyz[:, 2]])
-    out = PointCloud(xyz, cloud.intensity, cloud.frame_id, cloud.dropped)
+    out = PointCloud(xyz, cloud.intensity, cloud.dropped)
     if occlusion is not None:
         out = out.select(~_occlusion_mask(xy, *occlusion))
     return out

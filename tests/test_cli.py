@@ -179,6 +179,29 @@ def test_query_can_return_the_newest_map_frame_at_the_default_config(places, tmp
     assert json.loads(capsys.readouterr().out)["match"] == 2
 
 
+def test_query_reads_a_scan_whatever_its_file_name(places, tmp_path, capsys):
+    # only dataset stems become frame ids; a query file's name is never parsed
+    root, index, _ = places
+    scan = tmp_path / "\u00b2\u00b3.bin"
+    scan.write_bytes((root / "000003.bin").read_bytes())
+    assert main(["query", str(scan), "--index", str(index), "--dataset", str(root)]) == 0
+    assert json.loads(capsys.readouterr().out)["match"] == 3
+
+
+def test_query_match_without_a_scan_in_the_dataset_is_an_io_error(places, tmp_path, capsys):
+    # --dataset must hold the scans the index was built from
+    root, index, _ = places
+    other = tmp_path / "other"
+    other.mkdir()
+    (other / "000001.bin").write_bytes((root / "000001.bin").read_bytes())
+    code = main(["query", str(root / "000003.bin"), "--index", str(index),
+                 "--dataset", str(other)])
+    out, err = capsys.readouterr()
+    assert code == 2
+    assert out == ""
+    assert "frame 3" in err and str(other) in err and "Traceback" not in err
+
+
 def test_eval_single_revisit_reaches_perfect_f1(loop_dataset, tmp_path, capsys):
     out = tmp_path / "cover"
     code = main(["eval", "--dataset", str(loop_dataset), "--out", str(out)])

@@ -413,7 +413,7 @@ def test_select_equals_boolean_indexing(with_intensity):
     rng = np.random.default_rng(40)
     xyz = rng.uniform(-5.0, 5.0, (50, 3))
     inten = rng.uniform(0.0, 1.0, 50) if with_intensity else None
-    cloud = PointCloud(xyz, inten, frame_id=7, dropped=2)
+    cloud = PointCloud(xyz, inten, dropped=2)
     masks = {
         "all": np.ones(50, dtype=bool),
         "none": np.zeros(50, dtype=bool),
@@ -428,7 +428,7 @@ def test_select_equals_boolean_indexing(with_intensity):
             assert got.intensity is None
         else:
             np.testing.assert_array_equal(got.intensity, inten[mask])
-        assert (got.frame_id, got.dropped) == (7, 2)
+        assert got.dropped == 2
     with pytest.raises(IndexError):
         cloud.select(np.ones(49, dtype=bool))
 

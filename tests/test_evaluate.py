@@ -396,9 +396,29 @@ def test_run_evaluation_labels_against_what_the_index_could_return(tmp_path):
         replay.insert(q, np.ones((2, 2)))
 
 
+def _tag_loaded_scans(monkeypatch, dataset):
+    """Wrap ``evaluate.load_scan`` so that each cloud it returns is tagged with
+    the frame id of its scan.  Returns the ``(cloud, frame id)`` tags, which
+    a caller may extend, and the lookup from a tagged cloud to its frame."""
+    import fresco.evaluate as evaluate
+
+    frame_of = {path: fid for fid, path in dataset.scans.items()}
+    tags = []  # holding every tagged cloud keeps object identity a sound tag
+    true_load = evaluate.load_scan
+
+    def loading(path):
+        cloud = true_load(path)
+        tags.append((cloud, frame_of[path]))
+        return cloud
+
+    monkeypatch.setattr(evaluate, "load_scan", loading)
+    return tags, lambda cloud: next(fid for c, fid in tags if c is cloud)
+
+
 def test_run_evaluation_describes_through_the_pipeline_module(tmp_path, monkeypatch):
     """A wrapper installed on ``fresco.pipeline.describe_preprocessed`` sees
     every keyframe exactly once."""
+    import fresco.evaluate as evaluate
     from fresco import pipeline, synth
     from fresco.config import Config
     from fresco.datasets import load_dataset
@@ -413,15 +433,23 @@ def test_run_evaluation_describes_through_the_pipeline_module(tmp_path, monkeypa
     (root / "poses.csv").write_text(
         "frame,x,y,z,yaw_deg\n" + "".join(f"{i},{2.0 * i},0.0,0.0,0.0\n" for i in range(4))
     )
+    dataset = load_dataset(root, "generic")
+    tags, frame = _tag_loaded_scans(monkeypatch, dataset)
     described = []
-    true_describe = pipeline.describe_preprocessed
+    true_preprocess, true_describe = evaluate.preprocess, pipeline.describe_preprocessed
+
+    def preprocessing(cloud, cfg):
+        pre = true_preprocess(cloud, cfg)
+        tags.append((pre, frame(cloud)))
+        return pre
 
     def recording(pre, cfg):
-        described.append(pre.frame_id)
+        described.append(frame(pre))
         return true_describe(pre, cfg)
 
+    monkeypatch.setattr(evaluate, "preprocess", preprocessing)
     monkeypatch.setattr(pipeline, "describe_preprocessed", recording)
-    report = run_evaluation(load_dataset(root, "generic"), Config(), tmp_path / "out")
+    report = run_evaluation(dataset, Config(), tmp_path / "out")
     assert report["dataset"]["keyframes"] == 4
     assert sorted(described) == [0, 1, 2, 3]
 
@@ -438,16 +466,17 @@ def test_run_evaluation_preprocesses_each_keyframe_once_plus_once_per_candidate(
     from fresco.config import Config
     from fresco.datasets import load_dataset
 
+    dataset = load_dataset(trip_dataset, "generic")
+    _, frame = _tag_loaded_scans(monkeypatch, dataset)
     seen = []
     true_preprocess = pipeline.preprocess
 
     def recording(cloud, cfg):
-        seen.append(cloud.frame_id)
+        seen.append(frame(cloud))
         return true_preprocess(cloud, cfg)
 
     monkeypatch.setattr(pipeline, "preprocess", recording)
     monkeypatch.setattr(evaluate, "preprocess", recording)
-    dataset = load_dataset(trip_dataset, "generic")
     cfg = Config(exclusion_horizon=5)
     evaluate.run_evaluation(dataset, cfg, tmp_path)
     with open(tmp_path / "poses.csv") as fh:

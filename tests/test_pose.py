@@ -188,6 +188,46 @@ def test_nicp_objective_never_rises_within_a_step():
         assert after <= before + 1e-12
 
 
+def _sliver_case(lift_m, offset_m):
+    """Twelve points along the x axis, each lifted ``lift_m * s`` off it
+    (s = +-1, uncorrelated with x), matched to a copy moved ``-offset_m * s``
+    along x whose normals all point along x.  Each residual follows its
+    point's lift, so the Gauss-Newton step is a pure yaw of
+    ``offset_m / lift_m`` rad, and its linear model ignores how far that
+    yaw swings the points at the ends.  Returns the clouds and the
+    objective after a yaw ``dyaw``."""
+    x = np.linspace(-5.0, 5.0, 12)
+    s = np.array([1.0, -1.0, -1.0, 1.0] * 3)
+    normals = np.tile([1.0, 0.0], (12, 1))
+    src = Compact2dCloud(np.column_stack([x, lift_m * s]), normals)
+    dst = Compact2dCloud(np.column_stack([x - offset_m * s, lift_m * s]), normals)
+
+    def objective(dyaw):
+        return float(((transform_xy(src.points, 0.0, 0.0, dyaw) - dst.points)[:, 0] ** 2).mean())
+
+    return src, dst, objective
+
+
+def test_nicp_halves_a_step_that_would_raise_the_objective():
+    src, dst, objective = _sliver_case(0.04, 0.01)  # Gauss-Newton step: yaw 0.25 rad
+    before = objective(0.0)
+    assert objective(0.25) > before and objective(0.125) > before
+    assert objective(0.0625) <= before  # the second halving is the first that helps
+    pose = nicp_2d(src, dst, 0.0, max_iters=1)
+    assert pose.yaw == pytest.approx(0.0625, rel=1e-9)
+    assert abs(pose.tx) < 1e-12 and pose.ty == 0.0
+    assert pose.trace == [(pytest.approx(before), pytest.approx(objective(0.0625)))]
+
+
+def test_nicp_stops_at_the_seed_when_no_halved_step_helps():
+    src, dst, objective = _sliver_case(1e-3, 0.05)  # Gauss-Newton step: yaw 50 rad
+    before = objective(0.0)
+    assert all(objective(50.0 / 2**h) > before for h in range(pose_mod._STEP_HALVINGS))
+    pose = nicp_2d(src, dst, 0.0)
+    assert (pose.tx, pose.ty, pose.yaw) == (0.0, 0.0, 0.0)
+    assert pose.trace == [] and not pose.converged
+
+
 def test_stage1_identity():
     c = _compact(_scene(55))
     pose = estimate_pose_stage1(c, c, 0, 120)
@@ -790,6 +830,28 @@ def test_nicp_final_mse_counts_a_neighbor_exactly_at_the_gate():
     dst = Compact2dCloud(pts + _AT_GATE[:2], normals)
     est = nicp_2d(src, dst, 0.0, max_iters=0, gate_start_m=0.5, gate_end_m=0.5)
     assert est.mse == 0.25
+
+
+@pytest.mark.parametrize("sparse", ["query", "candidate"])
+def test_refine_passes_the_seed_through_when_a_cloud_has_too_few_centroids(sparse):
+    few, full = PointCloud(_GRID[: pose_mod._MIN_POINTS - 1]), PointCloud(_GRID)
+    query, cand = (few, full) if sparse == "query" else (full, few)
+    init = Se2Pose(0.25, 0.0, 0.0)
+    est = refine_pose_3d(query, cand, init)
+    assert (est.tx, est.ty, est.tz, est.roll, est.pitch, est.yaw) == (0.25, 0.0, 0.0, 0.0, 0.0, 0.0)
+    assert est.mse == np.inf and not est.converged and not est.success
+
+
+@pytest.mark.parametrize("pairs", [0, 1, 2])
+def test_refine_stops_when_fewer_than_three_centroids_lie_inside_the_gate(pairs):
+    # ``pairs`` candidate centroids sit 0.5 m from their query counterparts, the rest 100 m up
+    query = PointCloud(_GRID)
+    cand = PointCloud(np.vstack([_GRID[:pairs] + _AT_GATE, _GRID[pairs:] + [0.0, 0.0, 100.0]]))
+    est = refine_pose_3d(query, cand, Se2Pose(0.0, 0.0, 0.0))
+    # the seed passes through, scored over its pairs at the 0.5 m gate
+    assert (est.tx, est.ty, est.tz, est.roll, est.pitch, est.yaw) == (0.0,) * 6
+    assert est.mse == (0.25 if pairs else np.inf)
+    assert not est.converged and est.success == (pairs > 0)
 
 
 def _cap_per_cell_by_loop(cells, cap):

@@ -103,6 +103,3 @@ def test_generate_applies_occlusion():
     bearings = np.degrees(np.arctan2(cloud.xyz[:, 1], cloud.xyz[:, 0])) % 360.0
     assert not ((bearings >= 45.0) & (bearings < 135.0)).any()
 
-
-def test_frame_id_carries_the_seed():
-    assert synth.generate(synth.SceneSpec(seed=42, pillars=5)).frame_id == 42
