@@ -30,6 +30,11 @@ class PointCloud:
     """3D points in the sensor frame, meters. Point order carries no meaning.
     A cloud holds no frame id; ``Dataset.scans`` maps frame ids to scan files.
 
+    ``xyz`` is stored column-major: an (n, 3) float64 array in Fortran order,
+    so ``xyz.T`` is three contiguous coordinate rows and every per-axis
+    filter reads contiguous memory.  Input already in that layout is not
+    copied.
+
     Clouds are treated as immutable: filters may return a cloud whose arrays
     are shared with (or views of) their input's, so write to a cloud's
     arrays only when you made them.
@@ -40,7 +45,7 @@ class PointCloud:
     dropped: int = 0  # non-finite records discarded by a loader
 
     def __post_init__(self):
-        self.xyz = np.asarray(self.xyz, dtype=np.float64).reshape(-1, 3)
+        self.xyz = np.asfortranarray(np.asarray(self.xyz, dtype=np.float64).reshape(-1, 3))
         if self.intensity is not None:
             self.intensity = np.asarray(self.intensity, dtype=np.float64).reshape(-1)
             if self.intensity.shape[0] != self.xyz.shape[0]:
@@ -63,7 +68,7 @@ class PointCloud:
                 return PointCloud(self.xyz, self.intensity, self.dropped)
             idx = np.flatnonzero(idx)
         inten = None if self.intensity is None else self.intensity.take(idx)
-        return PointCloud(self.xyz.take(idx, axis=0), inten, self.dropped)
+        return PointCloud(self.xyz.T.take(idx, axis=1).T, inten, self.dropped)
 
 
 def empty_cloud() -> PointCloud:
@@ -73,8 +78,11 @@ def empty_cloud() -> PointCloud:
 def load_kitti_bin(path) -> PointCloud:
     """Read a KITTI velodyne scan: little-endian float32 (x, y, z, intensity) records.
 
-    Non-finite records are dropped and counted in ``cloud.dropped``.  A file
-    whose size is not a multiple of 16 bytes is rejected.  Its name is not read.
+    The records are converted in one pass into float64 coordinate rows, so
+    the cloud's ``xyz`` is column-major and neither it nor ``intensity`` is
+    a view of the records.  Non-finite records are dropped and counted in
+    ``cloud.dropped``.  A file whose size is not a multiple of 16 bytes is
+    rejected.  Its name is not read.
     """
     raw = Path(path).read_bytes()
     if len(raw) % 16 != 0:
@@ -90,8 +98,8 @@ def load_kitti_bin(path) -> PointCloud:
         keep = np.flatnonzero(finite.all(axis=1))
         dropped = len(rec) - len(keep)
         rec = rec.take(keep, axis=0)
-    arr = rec.astype(np.float64)
-    return PointCloud(arr[:, :3], arr[:, 3], dropped)
+    cols = np.ascontiguousarray(rec.T, dtype=np.float64)
+    return PointCloud(cols[:3].T, cols[3], dropped)
 
 
 def read_text_lines(path) -> list[str]:
@@ -173,10 +181,16 @@ def grid_cells(x: np.ndarray, y: np.ndarray, cell_m: float) -> tuple[np.ndarray,
     x and y: each point's flat cell id ``row * cols + col`` (row from x,
     column from y), with the grid's ``rows`` and ``cols``.  Points must be
     non-empty."""
-    row = np.floor((x - x.min()) / cell_m).astype(np.int64)
-    col = np.floor((y - y.min()) / cell_m).astype(np.int64)
+    ids = []
+    for v in (x, y):
+        f = v - v.min()
+        f /= cell_m
+        ids.append(np.floor(f, out=f).astype(np.int64))
+    row, col = ids
     rows, cols = int(row.max()) + 1, int(col.max()) + 1
-    return row * cols + col, rows, cols
+    row *= cols
+    row += col
+    return row, rows, cols
 
 
 def _neighbor_median(grid: np.ndarray, cells: np.ndarray) -> np.ndarray:
@@ -227,8 +241,7 @@ def remove_ground(
 
     The first peel pass visits every point.  Each later pass visits only the
     points left in the cells the pass before peeled: any other cell keeps its
-    points, so its verdict cannot change.  The passes read contiguous copies
-    of the x, y and z columns, and the result is gathered from them.
+    points, so its verdict cannot change.
     """
     if cell_m <= 0:
         raise ValueError("cell_m must be positive")
@@ -237,15 +250,14 @@ def remove_ground(
     sub = clip_height_band(cloud)
     if len(sub) == 0:
         return sub
-    # a loaded scan's xyz is a strided view of its (n, 4) records
-    x, y, z = sub.xyz.T.copy()
+    x, y, z = sub.xyz.T
     cid, nr, nc = grid_cells(x, y, cell_m)
     ncell = nr * nc
 
     floor = np.full(ncell, np.nan)
     ground = np.zeros(len(sub), dtype=bool)
-    # the points a pass visits: positions, cells, heights
-    pts, lc, lz = np.arange(len(sub)), cid, z
+    # the points a pass visits: positions (None for all), cells, heights
+    pts, lc, lz = None, cid, z
     while True:
         zmin = np.full(ncell, np.inf)
         np.minimum.at(zmin, lc, lz)
@@ -261,9 +273,13 @@ def remove_ground(
         first = peel & np.isnan(floor)
         floor[first] = zmin[first]
         hit = peel[lc]
-        ground[pts[band & hit]] = True
         rest = np.flatnonzero(hit & ~band)  # the next pass revisits only peeled cells
-        pts, lc, lz = pts[rest], lc[rest], lz[rest]
+        if pts is None:
+            ground, pts = band & hit, rest
+        else:
+            ground[pts[band & hit]] = True
+            pts = pts[rest]
+        lc, lz = lc[rest], lz[rest]
 
     total = np.bincount(cid, minlength=ncell)
     sparse = (total > 0) & (total < _GROUND_SUPPORT)
@@ -274,7 +290,4 @@ def remove_ground(
         m = np.flatnonzero(np.isfinite(donor)[cid])
         ground[m] |= z[m] < donor[cid[m]] + z_margin
 
-    keep = np.flatnonzero(~ground)
-    xyz = np.column_stack((x.take(keep), y.take(keep), z.take(keep)))
-    inten = None if sub.intensity is None else sub.intensity.take(keep)
-    return PointCloud(xyz, inten, sub.dropped)
+    return sub.select(~ground)

@@ -121,13 +121,13 @@ def _voxel_centroids(pts: np.ndarray, voxel: float) -> np.ndarray:
     order is the lexicographic order of the key rows, so a 1-D unique groups
     the voxels without a row-wise sort.  When the spans' product does not
     fit in an int64 a column-wise unique groups them, in the same order.  The
-    keys and sums work on one contiguous copy of the columns, one row per
-    axis, so every per-axis reduction reads contiguous memory.
+    keys and sums work on the columns as contiguous rows, one per axis, so
+    every per-axis reduction reads contiguous memory.
     """
     dim = pts.shape[1]
     if pts.shape[0] == 0:
         return np.empty((0, dim))
-    cols = pts.T.copy()
+    cols = np.ascontiguousarray(pts.T)
     keys = np.floor(cols / voxel).astype(np.int64)
     keys -= keys.min(axis=1, keepdims=True)
     spans = [int(s) + 1 for s in keys.max(axis=1)]

@@ -10,11 +10,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fresco import cloud as cloud_mod
+from fresco import synth
 from fresco.cloud import (
     FormatError,
     PointCloud,
     clip_height_band,
     crop_window,
+    empty_cloud,
     grid_cells,
     load_ascii_cloud,
     load_kitti_bin,
@@ -329,14 +331,14 @@ def test_remove_ground_equals_the_full_mask_peel(seed):
 
 
 def _as_loaded(xyz, inten, strided):
-    """A cloud over ``xyz``; ``strided`` lays it out as a loaded scan is, as
-    views of the columns of an (n, 4) record array."""
+    """A cloud over ``xyz``; ``strided`` builds it from the strided array a
+    caller holding (n, 4) records passes, views of the records' columns."""
     if not strided:
         return PointCloud(xyz, inten)
     rec = np.column_stack([xyz, np.zeros(len(xyz)) if inten is None else inten])
-    cloud = PointCloud(rec[:, :3], None if inten is None else rec[:, 3])
-    assert len(cloud) < 2 or not cloud.xyz.flags.c_contiguous
-    return cloud
+    view = rec[:, :3]
+    assert len(xyz) < 2 or not (view.flags.c_contiguous or view.flags.f_contiguous)
+    return PointCloud(view, None if inten is None else rec[:, 3])
 
 
 def _cell_heights(kind, rng):
@@ -431,6 +433,8 @@ def test_select_equals_boolean_indexing(with_intensity):
         assert got.dropped == 2
     with pytest.raises(IndexError):
         cloud.select(np.ones(49, dtype=bool))
+    with pytest.raises(IndexError):
+        cloud.select(np.array([3, 50]))
 
 
 def test_filters_that_keep_every_point_share_the_input_arrays():
@@ -443,3 +447,66 @@ def test_filters_that_keep_every_point_share_the_input_arrays():
         assert np.shares_memory(kept.intensity, cloud.intensity)
         np.testing.assert_array_equal(kept.xyz, cloud.xyz)
     assert not np.shares_memory(crop_window(cloud, 2.0).xyz, cloud.xyz)
+
+
+def _assert_column_major(cloud, ref_xyz, ref_inten):
+    """``cloud`` stores its points column-major, equal to the row-major
+    reference, with intensity aligned to them."""
+    assert cloud.xyz.shape == ref_xyz.shape
+    assert len(cloud) < 2 or (cloud.xyz.flags.f_contiguous and not cloud.xyz.flags.c_contiguous)
+    np.testing.assert_array_equal(cloud.xyz, ref_xyz)
+    if ref_inten is None:
+        assert cloud.intensity is None
+    else:
+        np.testing.assert_array_equal(cloud.intensity, ref_inten)
+
+
+def test_every_producer_stores_xyz_column_major(tmp_path):
+    rng = np.random.default_rng(45)
+    n = 400
+    rows = np.column_stack([rng.uniform(-40.0, 40.0, (n, 2)), rng.uniform(-5.0, 35.0, n)])
+    label = np.arange(n, dtype=float)  # a point's row in ``rows``
+    cloud = PointCloud(rows, label)
+    assert not rows.flags.f_contiguous
+    _assert_column_major(cloud, rows, label)
+    given = np.asfortranarray(rows)
+    assert np.shares_memory(PointCloud(given).xyz, given)  # already column-major: not copied
+
+    rec = np.column_stack([rows, label]).astype("<f4")
+    (tmp_path / "a.bin").write_bytes(rec.tobytes())
+    ref = rec.astype(np.float64)
+    _assert_column_major(load_kitti_bin(tmp_path / "a.bin"), ref[:, :3], ref[:, 3])
+    bad = rec.copy()
+    bad[[5, 17], [2, 0]] = [np.nan, np.inf]
+    (tmp_path / "b.bin").write_bytes(bad.tobytes())
+    loaded = load_kitti_bin(tmp_path / "b.bin")
+    keep = np.setdiff1d(np.arange(n), [5, 17])
+    _assert_column_major(loaded, ref[keep, :3], ref[keep, 3])
+    assert loaded.dropped == 2
+    save_ascii_cloud(cloud, tmp_path / "c.txt")
+    text = load_ascii_cloud(tmp_path / "c.txt")
+    _assert_column_major(text, np.round(rows, 6), label)
+
+    mask = rng.random(n) < 0.5
+    pos = np.array([3, -1, 0, 7, -n, 3])
+    _assert_column_major(cloud.select(mask), rows[mask], label[mask])
+    _assert_column_major(cloud.select(np.ones(n, dtype=bool)), rows, label)
+    _assert_column_major(cloud.select(pos), rows[pos], label[pos])
+
+    for kept in (crop_window(cloud, 50.0), clip_height_band(cloud), remove_ground(cloud)):
+        assert 1 < len(kept) < n
+        at = kept.intensity.astype(np.int64)
+        _assert_column_major(kept, rows[at], label[at])
+
+    scene = synth.generate(synth.SceneSpec(seed=45, pillars=6, walls=2, rings=1))
+    assert len(scene) > 1 and scene.xyz.flags.f_contiguous
+    moved = synth.perturb(PointCloud(rows, label), tx=1.0, ty=-2.0, yaw_deg=30.0,
+                          occlusion=(10.0, 40.0))
+    at = moved.intensity.astype(np.int64)
+    assert 1 < len(moved) < n
+    c, s = np.cos(np.radians(30.0)), np.sin(np.radians(30.0))
+    dx, dy = rows[at, 0] - 1.0, rows[at, 1] + 2.0
+    want = np.column_stack([c * dx + s * dy, c * dy - s * dx, rows[at, 2]])
+    assert moved.xyz.flags.f_contiguous
+    np.testing.assert_allclose(moved.xyz, want, rtol=0.0, atol=1e-12)
+    assert empty_cloud().xyz.flags.f_contiguous
