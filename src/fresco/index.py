@@ -157,7 +157,8 @@ class KeyframeIndex:
         """Score retrieved candidates and decide acceptance.
 
         All candidates are screened in one batched shift search
-        (``shift_l1_table``) and the near-minimal entries confirmed exactly
+        (``shift_l1_table``, on half the columns where the half-period bound
+        allows) and the near-minimal entries confirmed exactly at full width
         (``confirm_min``).  The one minimizing the shift-searched L1 distance
         (ties to the earliest in retrieval order, then to the smallest
         shift) is checked once against both thresholds; a cosine rejection
@@ -169,7 +170,7 @@ class KeyframeIndex:
         if not ids:
             return MatchResult(None, np.inf, np.inf, 0, 0.0, False)
         stack = np.stack([self.descriptor(fid) for fid in ids])
-        best, shift, d_l1 = confirm_min(desc, stack, shift_l1_table(desc, stack))
+        best, shift, d_l1 = confirm_min(desc, stack, *shift_l1_table(desc, stack))
         # shift(desc, k) ~ candidate, so the candidate aligned to desc is shift(candidate, -k)
         d_r = row_cosine(desc, circular_shift(stack[best], -shift))
         accepted = d_l1 <= l1_threshold and d_r <= cosine_threshold

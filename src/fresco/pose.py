@@ -118,11 +118,12 @@ def _voxel_centroids(pts: np.ndarray, voxel: float) -> np.ndarray:
 
     The integer voxel keys are folded into one int64 per point (offset by
     the per-axis minimum, mixed radix over the per-axis spans), whose sort
-    order is the lexicographic order of the key rows, so a 1-D unique groups
-    the voxels without a row-wise sort.  When the spans' product does not
-    fit in an int64 a column-wise unique groups them, in the same order.  The
-    keys and sums work on the columns as contiguous rows, one per axis, so
-    every per-axis reduction reads contiguous memory.
+    order is the lexicographic order of the key rows, so one stable 1-D
+    argsort groups the voxels without a row-wise sort: run starts label the
+    sorted keys, as ``np.unique``'s inverse would.  When the spans' product
+    does not fit in an int64 a column-wise unique groups them, in the same
+    order.  The keys and sums work on the columns as contiguous rows, one per
+    axis, so every per-axis reduction reads contiguous memory.
     """
     dim = pts.shape[1]
     if pts.shape[0] == 0:
@@ -136,7 +137,14 @@ def _voxel_centroids(pts: np.ndarray, voxel: float) -> np.ndarray:
         for d in range(1, dim):
             flat *= spans[d]
             flat += keys[d]
-        _, inverse, counts = np.unique(flat, return_inverse=True, return_counts=True)
+        order = np.argsort(flat, kind="stable")
+        flat = flat[order]
+        starts = np.empty(flat.shape, dtype=bool)
+        starts[0] = True
+        np.not_equal(flat[1:], flat[:-1], out=starts[1:])
+        inverse = np.empty_like(order)
+        inverse[order] = np.cumsum(starts) - 1
+        counts = np.diff(np.append(np.flatnonzero(starts), flat.shape[0]))
     else:
         _, inverse, counts = np.unique(keys, axis=1, return_inverse=True, return_counts=True)
     sums = np.zeros((counts.shape[0], dim))

@@ -331,6 +331,28 @@ def test_match_takes_its_candidates_from_one_retrieve(monkeypatch):
     assert res.candidate_id in [fid for fid, _ in calls[0]]
 
 
+def test_match_screens_through_one_module_level_shift_table_call(monkeypatch):
+    # the benchmark's shift-screen span wraps this name and sizes the call
+    # from its positional (rows, width) query and (n, rows, width) stack
+    rng = np.random.default_rng(14)
+    idx = KeyframeIndex(exclusion_horizon=0)
+    for i in range(12):
+        idx.insert(i, _rand_desc(rng, 32, 120))
+    calls, real = [], index_module.shift_l1_table
+
+    def recording(*args, **kwargs):
+        calls.append((args, kwargs))
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(index_module, "shift_l1_table", recording)
+    idx.match(_rand_desc(rng, 32, 120), 5, np.inf, np.inf)
+    assert len(calls) == 1
+    (args, kwargs), = calls
+    assert kwargs == {} and len(args) == 2
+    assert all(isinstance(a, np.ndarray) for a in args)
+    assert (args[0].shape, args[1].shape) == ((32, 120), (5, 32, 120))
+
+
 def test_match_is_deterministic():
     rng = np.random.default_rng(12)
     descs = [_rand_desc(rng, 32, 120) for _ in range(40)]

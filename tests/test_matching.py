@@ -5,13 +5,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
+from scipy.spatial.distance import cdist
 
-from fresco import synth
+from fresco import matching, synth
 from fresco.config import Config
 from fresco.index import KeyframeIndex
 from fresco.matching import (
     best_shift_l1,
     circular_shift,
+    confirm_min,
     row_cosine,
     screen_slack,
     shift_l1_table,
@@ -196,18 +198,75 @@ def test_near_ties_inside_the_screen_slack_are_confirmed_exactly():
 @settings(max_examples=200, deadline=None)
 @given(data=st.data())
 def test_screen_entries_lie_within_the_documented_slack(data):
+    # arbitrary inputs, half-periodic ones (a drawn half tiled, the second copy
+    # perturbed by up to a drawn delta, 0 included) and odd widths
+    kind = data.draw(st.sampled_from(["arbitrary", "half-periodic", "odd"]), label="kind")
     rows = data.draw(st.integers(1, 8), label="rows")
-    width = data.draw(st.integers(2, 40), label="width")
+    widths = {
+        "arbitrary": st.integers(2, 40),
+        "half-periodic": st.integers(1, 20).map(lambda h: 2 * h),
+        "odd": st.integers(1, 19).map(lambda h: 2 * h + 1),
+    }
+    width = data.draw(widths[kind], label="width")
     n = data.draw(st.integers(1, 4), label="n")
     values = st.floats(-1e6, 1e6, allow_nan=False, allow_infinity=False)
-    q = data.draw(arrays(np.float64, (rows, width), elements=values), label="query")
-    c = data.draw(arrays(np.float64, (n, rows, width), elements=values), label="candidates")
-    table = shift_l1_table(q, c)
-    assert table.shape == (n, width // 2)
+
+    def draw_descs(shape, label):
+        if kind != "half-periodic":
+            return data.draw(arrays(np.float64, shape, elements=values), label=label)
+        half_shape = shape[:-1] + (width // 2,)
+        half = data.draw(arrays(np.float64, half_shape, elements=values), label=label)
+        delta = data.draw(st.just(0.0) | st.floats(1e-12, 1e3), label=f"{label} delta")
+        unit = data.draw(arrays(np.float64, half_shape, elements=st.floats(-1, 1)), label=f"{label} noise")
+        return np.concatenate([half, half + delta * unit], axis=-1)
+
+    q = draw_descs((rows, width), "query")
+    c = draw_descs((n, rows, width), "candidates")
+    table, slack = shift_l1_table(q, c)
+    assert table.shape == slack.shape == (n, width // 2)
     brute = np.array(
         [[np.abs(np.roll(q, k, 1) - ci).mean() for k in range(width // 2)] for ci in c]
     )
-    assert np.all(np.abs(table - brute) <= screen_slack(table, rows * width))
+    assert np.all(np.abs(table - brute) <= slack)
+    assert confirm_min(q, c, table, slack) == _loop_best(q, c)
+
+
+def test_scene_descriptors_leave_few_entries_to_the_second_tier(monkeypatch):
+    # spectrum descriptors repeat after half their width, so the half-width
+    # tier settles nearly every (candidate, shift) entry on its own
+    cfg = Config()
+    scenes = [synth.generate(synth.SceneSpec(seed=s, pillars=25, walls=6, rings=2)) for s in range(50, 70)]
+    c = np.stack([describe(s, cfg) for s in scenes])
+    q = describe(synth.perturb(scenes[7], tx=0.6, ty=-0.4, yaw_deg=35.0), cfg)
+    assert c.shape == (20, 32, 120)
+    calls = []
+
+    def recording(xa, xb, metric):
+        calls.append((len(xa), len(xb)))
+        return cdist(xa, xb, metric)
+
+    monkeypatch.setattr(matching, "cdist", recording)
+    idx = KeyframeIndex(exclusion_horizon=0)
+    for fid, desc in enumerate(c):
+        idx.insert(fid, desc)
+    order = [fid for fid, _ in idx.retrieve(q, 20)]
+    res = idx.match(q, 20, np.inf, np.inf)
+    i, k, d = _loop_best(q, c[order])
+    assert (res.candidate_id, res.best_shift, res.d_l1) == (order[i], k, d)
+    assert res.candidate_id == 7
+    (n1, k1), (n2, k2) = calls
+    assert (n1, k1) == (20, 60)
+    assert n2 * k2 < 0.1 * n1 * k1
+
+
+def test_random_descriptors_are_screened_on_every_column():
+    # far from half-periodic, so tier 1 rules nothing out and tier 2 brings
+    # every entry to the full-width mean and its rounding slack
+    rng = np.random.default_rng(42)
+    q = rng.uniform(0.05, 1.05, (32, 120))
+    c = rng.uniform(0.05, 1.05, (20, 32, 120))
+    table, slack = shift_l1_table(q, c)
+    np.testing.assert_array_equal(slack, screen_slack(table, q.size))
 
 
 def test_non_finite_descriptors_rejected():
