@@ -217,7 +217,8 @@ def cmd_selftest(args, cfg: Config) -> int:
     def retrieval():
         rng = np.random.default_rng(31)
         idx = KeyframeIndex(exclusion_horizon=0)
-        descs = rng.uniform(0.1, 2.0, (50, 8, 12))[rng.integers(0, 50, 200)]  # tied keys
+        # random halves, tiled, as the index stores them; drawn repeatedly, so keys tie
+        descs = np.tile(rng.uniform(0.1, 2.0, (50, 8, 6)), 2)[rng.integers(0, 50, 200)]
         for i, d in enumerate(descs):
             idx.insert(i, d)
         keys = [make_key(d) for d in descs]

@@ -48,8 +48,8 @@ _LENGTHS_M = ("window_m", "ground_cell_m", "ground_margin_m", "coarse_grid_m", "
 # per-cell arrays of ground removal and compaction (each laid on the
 # cloud.grid_cells grid of its cell size over the window_m crop, so
 # window_m / cell bounds its side), the grid_size**2 BEV image and its FFT,
-# and the (angular_bins // 2) x (radial_bins * angular_bins) table that the
-# shift search builds per query.
+# and, at twice its size, the (angular_bins // 2) x (radial_bins *
+# angular_bins // 2) block of shifted query halves the shift search builds.
 MAX_GRID_SIDE = 2048
 # MAX_WORK_FACTOR caps each count that multiplies a query's registration work:
 # the planar ICP's iterations (nicp_max_iters, run for two branches per pose),
@@ -72,6 +72,11 @@ def validate(cfg: Config) -> Config:
         ("crop_size", 2 <= cfg.crop_size <= cfg.grid_size, "must lie in [2, grid_size]"),
         ("crop_size", cfg.crop_size % 2 == 0, "must be even"),
         ("radial_bins", cfg.radial_bins >= 1, "must be positive"),
+        # an even grid's spectrum holds the unpaired Nyquist frequency in row and column 0
+        ("radial_bins", cfg.crop_size < cfg.grid_size or 2 * cfg.radial_bins < cfg.grid_size,
+         "must be below grid_size / 2 when crop_size equals grid_size, or the outer ring"
+         " samples the unpaired Nyquist row and the descriptor stops repeating after half"
+         " its width"),
         ("angular_bins", cfg.angular_bins >= 2, "must be at least 2"),
         ("angular_bins", cfg.angular_bins % 2 == 0, "must be even"),
         ("angular_bins",

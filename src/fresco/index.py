@@ -14,7 +14,7 @@ from scipy.spatial import cKDTree
 
 from .cloud import FormatError
 from .config import Config
-from .matching import circular_shift, confirm_min, row_cosine, shift_l1_table
+from .matching import circular_shift, confirm_min, descriptor_half, row_cosine, shift_l1_table
 from .pose import shift_to_rotation
 
 _MAGIC = b"FRIX"
@@ -60,7 +60,8 @@ class MatchResult:
 
 
 class KeyframeIndex:
-    """Insertion-ordered store of (id, key, descriptor).
+    """Insertion-ordered store of (id, key, descriptor half): a descriptor
+    repeats after half its width, so only its first half is kept.
 
     Retrieval is ``properties.linear_scan`` over the eligible keys, ties and
     distances included.  A k-d tree over eligible keys only screens, and is
@@ -75,7 +76,7 @@ class KeyframeIndex:
         self.exclusion_horizon = exclusion_horizon
         self._ids: list[int] = []
         self._keys: list[np.ndarray] = []
-        self._descs: list[np.ndarray] = []
+        self._halves: list[np.ndarray] = []
         self._tree: cKDTree | None = None  # over the first tree.n keys, all eligible
 
     def __len__(self) -> int:
@@ -90,17 +91,23 @@ class KeyframeIndex:
         """Ids ``retrieve`` may return: every insertion older than the exclusion horizon."""
         return self._ids[: max(0, len(self._ids) - self.exclusion_horizon)]
 
-    def descriptor(self, frame_id: int) -> np.ndarray:
-        """Stored descriptor of ``frame_id``; ValueError if it was never inserted."""
+    def _half(self, frame_id: int) -> np.ndarray:
         pos = bisect_left(self._ids, frame_id)  # ids are strictly increasing
         if pos == len(self._ids) or self._ids[pos] != frame_id:
             raise ValueError(f"frame id {frame_id} is not in the index")
-        return self._descs[pos]
+        return self._halves[pos]
+
+    def descriptor(self, frame_id: int) -> np.ndarray:
+        """A new full-width array of ``frame_id``'s stored half, tiled twice;
+        ValueError if it was never inserted."""
+        return np.tile(self._half(frame_id), 2)
 
     def insert(self, frame_id: int, desc: np.ndarray) -> None:
         """Add a frame; ids must be integers in [0, 2**64) that strictly
         increase, and every descriptor must be finite and have the first
-        one's 2-D shape, at least 2 columns wide."""
+        one's 2-D shape, at least 2 columns wide, and repeat after half its
+        width (``matching.descriptor_half``, which keeps its first half; the
+        key is taken from the whole).  A rejected frame changes nothing."""
         try:
             frame_id = operator.index(frame_id)
         except TypeError:
@@ -110,16 +117,17 @@ class KeyframeIndex:
         if self._ids and frame_id <= self._ids[-1]:
             raise ValueError(f"frame id {frame_id} not greater than last inserted {self._ids[-1]}")
         desc = np.asarray(desc, dtype=np.float64)
-        stored = self._descs[0].shape if self._descs else None
+        stored = (len(self._halves[0]), 2 * self._halves[0].shape[1]) if self._halves else None
         if desc.ndim != 2 or desc.shape[1] < 2 or stored not in (None, desc.shape):
             want = stored or "a 2-D shape with at least 2 columns"
             raise ValueError(
                 f"descriptor shape {desc.shape} does not fit the index; expected {want}"
             )
         key = make_key(desc)  # degenerate frames are rejected, not stored
+        half = descriptor_half(desc)
         self._ids.append(frame_id)
         self._keys.append(key)
-        self._descs.append(desc)
+        self._halves.append(half)
 
     def retrieve(self, desc: np.ndarray, num_candidates: int) -> list[tuple[int, float]]:
         """Up to ``num_candidates`` (id, key distance) pairs of ``eligible_ids``,
@@ -156,40 +164,43 @@ class KeyframeIndex:
     ) -> MatchResult:
         """Score retrieved candidates and decide acceptance.
 
-        All candidates are screened in one batched shift search
-        (``shift_l1_table``, on half the columns where the half-period bound
-        allows) and the near-minimal entries confirmed exactly at full width
-        (``confirm_min``).  The one minimizing the shift-searched L1 distance
-        (ties to the earliest in retrieval order, then to the smallest
-        shift) is checked once against both thresholds; a cosine rejection
-        is final (no fallback to the runner-up).  Scores are reported either
-        way so callers can sweep thresholds afterwards.
+        All candidates' stored halves are screened in one batched shift
+        search (``shift_l1_table``) and the near-minimal entries confirmed
+        exactly (``confirm_min``), so ``d_l1`` is the exact mean over the
+        first width/2 columns of the shifted query and the stored half.  The
+        candidate minimizing it (ties to the earliest in retrieval order,
+        then to the smallest shift) is checked once against both thresholds,
+        ``d_r`` on its full-width tiling; a cosine rejection is final (no
+        fallback to the runner-up).  Scores are reported either way so
+        callers can sweep thresholds afterwards.
         """
         desc = np.asarray(desc, dtype=np.float64)
         ids = [fid for fid, _ in self.retrieve(desc, num_candidates)]
         if not ids:
             return MatchResult(None, np.inf, np.inf, 0, 0.0, False)
-        stack = np.stack([self.descriptor(fid) for fid in ids])
-        best, shift, d_l1 = confirm_min(desc, stack, *shift_l1_table(desc, stack))
+        halves = np.stack([self._half(fid) for fid in ids])
+        best, shift, d_l1 = confirm_min(desc, halves, *shift_l1_table(desc, halves))
         # shift(desc, k) ~ candidate, so the candidate aligned to desc is shift(candidate, -k)
-        d_r = row_cosine(desc, circular_shift(stack[best], -shift))
+        d_r = row_cosine(desc, circular_shift(np.tile(halves[best], 2), -shift))
         accepted = d_l1 <= l1_threshold and d_r <= cosine_threshold
         rotation = shift_to_rotation(shift, desc.shape[1])
         return MatchResult(ids[best], d_l1, d_r, shift, rotation, accepted)
 
     def save(self, path) -> None:
         """Write the ``_HEADER``, every frame id as u64, then every descriptor as
-        row-major float32, all little-endian.  Keys are derived, not stored."""
-        rows, cols = self._descs[0].shape if self._descs else (0, 0)
-        header = _HEADER.pack(_MAGIC, _VERSION, rows, cols, len(self._ids))
+        row-major float32 (each stored half, then a copy of it), all
+        little-endian.  Keys are derived, not stored."""
+        rows, half = self._halves[0].shape if self._halves else (0, 0)
+        header = _HEADER.pack(_MAGIC, _VERSION, rows, 2 * half, len(self._ids))
         ids = np.asarray(self._ids, dtype="<u8").tobytes()
-        descs = np.asarray(self._descs, dtype="<f4").tobytes()
+        descs = np.tile(np.asarray(self._halves, dtype="<f4"), 2).tobytes()
         Path(path).write_bytes(header + ids + descs)
 
     @classmethod
     def load(cls, path, exclusion_horizon: int = Config.exclusion_horizon) -> "KeyframeIndex":
         """Read a file written by ``save``; the result is exactly the index
-        built by inserting the stored float32 descriptors in file order."""
+        built by inserting the stored float32 descriptors in file order; an
+        entry ``insert`` rejects is a FormatError naming its frame."""
         raw = Path(path).read_bytes()
         if len(raw) < _HEADER.size or raw[:4] != _MAGIC:
             raise FormatError(f"{path}: not an index file (bad magic)")

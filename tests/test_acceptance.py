@@ -82,8 +82,9 @@ def test_retrieval_matches_a_linear_scan_exactly():
     rng = np.random.default_rng(7)
     mismatches = 0
     for size in (10, 100, 1000):
-        # each descriptor recurs about 4 times, so tied keys straddle the 20th place
-        pool = rng.uniform(0.1, 1.1, (max(size // 4, 1), 8, 12))
+        # each descriptor recurs about 4 times, so tied keys straddle the 20th place;
+        # a random half, tiled, as the index stores only what repeats after half its width
+        pool = np.tile(rng.uniform(0.1, 1.1, (max(size // 4, 1), 8, 6)), 2)
         descs = pool[rng.integers(0, len(pool), size)]
         keys = np.array([make_key(d) for d in descs])
         idx = KeyframeIndex(exclusion_horizon=0)
@@ -209,8 +210,8 @@ def test_per_stage_runtime_budgets():
 
     rng = np.random.default_rng(3)
     idx = KeyframeIndex(exclusion_horizon=0)
-    for i in range(1000):
-        idx.insert(i, rng.uniform(0.05, 1.05, (32, 120)))
+    for i in range(1000):  # random halves, tiled; the queries need not repeat
+        idx.insert(i, np.tile(rng.uniform(0.05, 1.05, (32, 60)), 2))
     queries = [rng.uniform(0.05, 1.05, (32, 120)) for _ in range(50)]
     t0 = time.perf_counter()
     for q in queries:

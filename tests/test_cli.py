@@ -375,6 +375,19 @@ def test_degenerate_index_descriptor_is_a_format_error(places, tmp_path, capsys)
     assert "frame 1" in err and "mean is not positive" in err
 
 
+def test_index_entry_that_does_not_repeat_is_a_format_error(places, tmp_path, capsys):
+    root, index, _ = places
+    raw = index.read_bytes()
+    body = 24 + 8 * 6  # header and six u64 ids, then the descriptors
+    descs = np.frombuffer(raw, dtype="<f4", offset=body).reshape(6, 32, 120).copy()
+    descs[2, 0, 100] += 1.0  # in frame 2's second half only
+    bad = tmp_path / "unpaired.frix"
+    bad.write_bytes(raw[:body] + descs.tobytes())
+    assert main(["query", str(root / "000000.bin"), "--index", str(bad)]) == 2
+    err = capsys.readouterr().err
+    assert "frame 2" in err and "does not repeat after half its width" in err
+
+
 def test_version_1_index_asks_for_a_rebuild(places, tmp_path, capsys):
     root, index, _ = places
     raw = bytearray(index.read_bytes())

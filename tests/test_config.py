@@ -6,6 +6,7 @@ import inspect
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import fresco
@@ -23,8 +24,10 @@ from fresco.config import (
     validate,
 )
 from fresco.index import KeyframeIndex
+from fresco.matching import best_shift_l1, circular_shift
 from fresco.pose import extract_compact_2d, nicp_2d, refine_pose_3d
-from fresco.spectrum import polar_unroll
+from fresco.properties import SHIFT_L1_TOL
+from fresco.spectrum import log_spectrum, polar_unroll
 
 
 def test_defaults_validate():
@@ -114,6 +117,34 @@ def test_per_query_work_bounds_admit_their_largest_values():
     fields = ("nicp_max_iters", "normal_neighbors", "cell_cap")
     cfg = from_dict({"version": 1, **{f: MAX_WORK_FACTOR for f in fields}})
     assert all(getattr(cfg, f) == MAX_WORK_FACTOR for f in fields)
+
+
+def test_every_accepted_geometry_gives_a_descriptor_that_repeats_after_half_its_width():
+    # grid 8-24, every even crop, radial 1-12: on an even grid the outer ring
+    # reaches the unpaired Nyquist row once crop == grid and radial >= grid / 2
+    rng = np.random.default_rng(27)
+    accepted = rejected = 0
+    for grid in range(8, 25):
+        mag = log_spectrum(rng.uniform(0.0, 30.0, (grid, grid)))
+        for crop in range(2, grid + 1, 2):
+            for radial in range(1, 13):
+                desc = polar_unroll(mag, crop, radial, 24)
+                geometry = {"grid_size": grid, "crop_size": crop, "radial_bins": radial}
+                try:
+                    from_dict({"version": 1, "angular_bins": 24, **geometry})
+                except ConfigError as err:
+                    assert str(err).startswith("radial_bins ")
+                    with pytest.raises(ValueError, match="does not repeat after half its width"):
+                        KeyframeIndex().insert(0, desc)
+                    rejected += 1
+                    continue
+                KeyframeIndex().insert(0, desc)
+                for k in (0, 5, 11):
+                    score = best_shift_l1(desc, circular_shift(desc, k + 12))
+                    assert (score.best_shift, geometry) == (k, geometry)
+                    assert score.d_l1 <= SHIFT_L1_TOL, geometry
+                accepted += 1
+    assert (accepted, rejected) == (1539, 45)
 
 
 def test_thresholds_and_spacings_accept_inf():

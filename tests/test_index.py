@@ -18,7 +18,8 @@ from fresco.properties import linear_scan
 
 
 def _rand_desc(rng, rows=8, cols=12):
-    return rng.uniform(0.1, 4.0, (rows, cols))
+    # a random half, tiled: the index stores descriptors that repeat after half their width
+    return np.tile(rng.uniform(0.1, 4.0, (rows, cols // 2)), 2)
 
 
 def test_key_of_constant_descriptor():
@@ -132,6 +133,68 @@ def test_non_finite_descriptors_are_rejected_and_leave_the_index_unchanged(tmp_p
     assert (tmp_path / "after.frix").read_bytes() == (tmp_path / "before.frix").read_bytes()
     assert KeyframeIndex.load(tmp_path / "after.frix").ids == [0]
     idx.insert(1, _rand_desc(rng))
+
+
+def test_insert_rejects_what_does_not_repeat_after_half_its_width(tmp_path):
+    rng = np.random.default_rng(23)
+    idx = KeyframeIndex(exclusion_horizon=0)
+    idx.insert(0, _rand_desc(rng))
+    idx.save(tmp_path / "before.frix")
+    with pytest.raises(ValueError, match="width 13 is odd"):
+        KeyframeIndex().insert(0, rng.uniform(0.1, 4.0, (8, 13)))
+    with pytest.raises(ValueError, match="does not repeat after half its width"):
+        idx.insert(1, rng.uniform(0.1, 4.0, (8, 12)))
+    assert idx.ids == [0]
+    idx.save(tmp_path / "after.frix")
+    assert (tmp_path / "after.frix").read_bytes() == (tmp_path / "before.frix").read_bytes()
+
+
+def _frix(ids, descs) -> bytes:
+    descs = np.asarray(descs, dtype="<f4")
+    header = b"FRIX" + struct.pack("<IIIQ", 2, *descs.shape[1:], len(ids))
+    return header + np.asarray(ids, dtype="<u8").tobytes() + descs.tobytes()
+
+
+def test_load_rejects_an_entry_that_does_not_repeat(tmp_path):
+    rng = np.random.default_rng(24)
+    descs = np.stack([_rand_desc(rng) for _ in range(3)])
+    descs[1, 4, 9] += 0.5
+    p = tmp_path / "odd.frix"
+    p.write_bytes(_frix([3, 5, 8], descs))
+    with pytest.raises(FormatError, match="frame 5: descriptor does not repeat after half its"):
+        KeyframeIndex.load(p)
+
+
+def test_load_keeps_halves_a_float32_ulp_apart(tmp_path):
+    # a v2 writer that rounds each half to float32 on its own may leave them
+    # one float32 ulp apart, at most 2**-19 for values in [16, 32)
+    rng = np.random.default_rng(25)
+    descs = np.stack([_rand_desc(rng) + 15.0 for _ in range(3)]).astype(np.float32)
+    descs[2, 1, 8] = np.nextafter(descs[2, 1, 2], np.float32(np.inf))
+    assert np.abs(descs[2, :, :6] - descs[2, :, 6:]).max() == 2.0**-19
+    p = tmp_path / "ulp.frix"
+    p.write_bytes(_frix([0, 1, 2], descs))
+    idx = KeyframeIndex.load(p, exclusion_horizon=0)
+    assert idx.ids == [0, 1, 2]
+    np.testing.assert_array_equal(idx.descriptor(2), np.tile(descs[2, :, :6], 2))
+    res = idx.match(np.roll(descs[2], 4, axis=1), 3, 0.1, 0.1)
+    assert (res.candidate_id, res.best_shift, res.accepted) == (2, 2, True)
+    # shift(query, 2) begins with the stored second half, one ulp off in one of 48 terms
+    assert res.d_l1 == pytest.approx(2.0**-19 / 48, rel=1e-12)
+
+
+def test_descriptor_returns_a_fresh_full_width_array():
+    rng = np.random.default_rng(26)
+    idx = KeyframeIndex(exclusion_horizon=0)
+    for i in range(4):
+        idx.insert(i, _rand_desc(rng, 32, 120))
+    q = _rand_desc(rng, 32, 120)
+    before = idx.match(q, 4, np.inf, np.inf)
+    got = idx.descriptor(before.candidate_id)
+    assert got.shape == (32, 120)
+    got[:] = q  # would make the stored entry the query's exact copy
+    assert idx.match(q, 4, np.inf, np.inf) == before
+    assert idx.descriptor(before.candidate_id) is not got
 
 
 def test_load_rejects_a_one_column_index_file(tmp_path):
@@ -333,7 +396,7 @@ def test_match_takes_its_candidates_from_one_retrieve(monkeypatch):
 
 def test_match_screens_through_one_module_level_shift_table_call(monkeypatch):
     # the benchmark's shift-screen span wraps this name and sizes the call
-    # from its positional (rows, width) query and (n, rows, width) stack
+    # from its positional (rows, width) query and (n, rows, width/2) halves
     rng = np.random.default_rng(14)
     idx = KeyframeIndex(exclusion_horizon=0)
     for i in range(12):
@@ -350,7 +413,7 @@ def test_match_screens_through_one_module_level_shift_table_call(monkeypatch):
     (args, kwargs), = calls
     assert kwargs == {} and len(args) == 2
     assert all(isinstance(a, np.ndarray) for a in args)
-    assert (args[0].shape, args[1].shape) == ((32, 120), (5, 32, 120))
+    assert (args[0].shape, args[1].shape) == ((32, 120), (5, 32, 60))
 
 
 def test_match_is_deterministic():
@@ -512,7 +575,7 @@ def test_batched_match_agrees_with_per_candidate_loop():
 def test_match_ties_go_to_smaller_id_and_smaller_shift():
     rng = np.random.default_rng(16)
     # four repeats of one block: shifts k and k + 30 score identically
-    d = np.tile(_rand_desc(rng, 32, 30), (1, 4))
+    d = np.tile(rng.uniform(0.1, 4.0, (32, 30)), (1, 4))
     idx = KeyframeIndex(exclusion_horizon=0)
     idx.insert(0, _rand_desc(rng, 32, 120))
     idx.insert(3, d)

@@ -5,15 +5,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
-from scipy.spatial.distance import cdist
 
-from fresco import matching, synth
+from fresco import synth
 from fresco.config import Config
 from fresco.index import KeyframeIndex
 from fresco.matching import (
+    HALF_PERIOD_RTOL,
     best_shift_l1,
     circular_shift,
     confirm_min,
+    descriptor_half,
     row_cosine,
     screen_slack,
     shift_l1_table,
@@ -21,8 +22,13 @@ from fresco.matching import (
 from fresco.pipeline import describe
 
 
+def _tiled(rng, shape, low=0.0, high=8.0):
+    # a random half, tiled: repeats after half its width, as a descriptor does
+    return np.tile(rng.uniform(low, high, shape[:-1] + (shape[-1] // 2,)), 2)
+
+
 def _rand_desc(seed, rows=32, cols=120):
-    return np.random.default_rng(seed).uniform(0, 8, (rows, cols))
+    return _tiled(np.random.default_rng(seed), (rows, cols))
 
 
 def _scene_desc(seed):
@@ -59,7 +65,7 @@ def test_recovers_injected_shift_exactly():
     q = _rand_desc(3)
     c = circular_shift(q, 17)
     # oracle: brute-force scan over every legal shift of the query
-    dists = [np.abs(circular_shift(q, k) - c).mean() for k in range(60)]
+    dists = [np.abs(circular_shift(q, k)[:, :60] - c[:, :60]).mean() for k in range(60)]
     assert int(np.argmin(dists)) == 17
     assert dists[17] == 0.0
     assert sorted(dists)[1] > 0.0  # the minimum is unique
@@ -71,9 +77,9 @@ def test_recovers_injected_shift_exactly():
 def test_agrees_with_brute_force_on_noisy_pairs():
     rng = np.random.default_rng(4)
     for _ in range(10):
-        q = rng.uniform(0, 8, (16, 40))
-        c = rng.uniform(0, 8, (16, 40))
-        dists = [np.abs(circular_shift(q, k) - c).mean() for k in range(20)]
+        q = _tiled(rng, (16, 40))
+        c = _tiled(rng, (16, 40))
+        dists = [np.abs(circular_shift(q, k)[:, :20] - c[:, :20]).mean() for k in range(20)]
         score = best_shift_l1(q, c)
         assert score.best_shift == int(np.argmin(dists))
         assert score.d_l1 == pytest.approx(min(dists), abs=1e-15)
@@ -83,7 +89,7 @@ def test_noise_bounds_the_distance():
     rng = np.random.default_rng(5)
     q = _rand_desc(6)
     eps = 0.01
-    c = q + rng.uniform(-eps, eps, q.shape)
+    c = q + _tiled(rng, q.shape, -eps, eps)
     assert best_shift_l1(q, c).d_l1 <= eps
 
 
@@ -121,25 +127,21 @@ def test_shape_mismatch_rejected():
         best_shift_l1(np.zeros((4, 8)), np.zeros((4, 10)))
 
 
-def _loop_table(query, candidates):
-    """The former per-shift search, kept as the bitwise reference: each
-    candidate laid out column-major and doubled, one flat pass per shift."""
-    n, rows, width = candidates.shape
-    size = rows * width
-    cols = candidates.transpose(0, 2, 1)
-    doubled = np.concatenate([cols, cols], axis=1).reshape(n, 2 * size)
-    flat_query = query.T.ravel()
-    diff = np.empty((n, size))
-    sums = np.empty((n, width // 2))
-    for k in range(width // 2):
-        np.subtract(doubled[:, k * rows : k * rows + size], flat_query, out=diff)
+def _loop_table(query, halves):
+    """The per-shift search, the bitwise reference: per shift k, the first
+    width/2 columns of shift(query, k) minus every stored half, one
+    row-major flat pass."""
+    n, rows, half = halves.shape
+    sums = np.empty((n, half))
+    for k in range(half):
+        diff = (circular_shift(query, k)[:, :half] - halves).reshape(n, rows * half)
         np.abs(diff, out=diff)
         np.sum(diff, axis=1, out=sums[:, k])
-    return sums / size
+    return sums / (rows * half)
 
 
-def _loop_best(query, candidates):
-    table = _loop_table(query, candidates)
+def _loop_best(query, halves):
+    table = _loop_table(query, halves)
     shifts = table.argmin(axis=1)
     dists = table.min(axis=1)
     best = int(np.argmin(dists))
@@ -147,7 +149,8 @@ def _loop_best(query, candidates):
 
 
 def _assert_bitwise_like_the_loop(query, candidates):
-    want = _loop_best(query, candidates)
+    halves = candidates[..., : candidates.shape[-1] // 2]
+    want = _loop_best(query, halves)
     if len(candidates) == 1:
         score = best_shift_l1(query, candidates[0])
         assert (0, score.best_shift, score.d_l1) == want
@@ -155,41 +158,47 @@ def _assert_bitwise_like_the_loop(query, candidates):
     for fid, c in enumerate(candidates):
         idx.insert(fid, c)
     order = [fid for fid, _ in idx.retrieve(query, len(candidates))]
-    i, k, d = _loop_best(query, candidates[order])
+    i, k, d = _loop_best(query, halves[order])
     res = idx.match(query, len(candidates), np.inf, np.inf)
     assert (res.candidate_id, res.best_shift, res.d_l1) == (order[i], k, d)
 
 
 def test_screen_and_confirm_equal_the_per_shift_loop_bitwise():
     rng = np.random.default_rng(40)
-    for rows, width, n in ((32, 120, 20), (16, 40, 5), (5, 33, 3), (1, 7, 4), (3, 2, 2), (7, 40, 1)):
+    shapes = ((32, 120, 20), (16, 40, 5), (5, 34, 3), (1, 8, 4), (3, 2, 2), (7, 40, 1))
+    for rows, width, n in shapes:
         for _ in range(3):
-            q = rng.uniform(0, 8, (rows, width))
-            c = rng.uniform(0, 8, (n, rows, width))
-            c[n // 2] = np.roll(q, int(rng.integers(width)), axis=1) + rng.normal(0, 1e-9, q.shape)
+            q = _tiled(rng, (rows, width))
+            c = _tiled(rng, (n, rows, width))
+            noise = np.tile(rng.normal(0, 1e-9, (rows, width // 2)), 2)
+            c[n // 2] = np.roll(q, int(rng.integers(width)), axis=1) + noise
             _assert_bitwise_like_the_loop(q, c)
+            # the query need not repeat after half its width
+            _assert_bitwise_like_the_loop(rng.uniform(0, 8, (rows, width)), c)
 
 
 def test_exact_ties_keep_the_earliest_candidate_and_smallest_shift():
     rng = np.random.default_rng(41)
-    # periodic in a quarter of the width: shifts k and k + 30 tie exactly
+    # periodic in a quarter of the width, noise included: shifts k and k + 30 tie exactly
     d = np.tile(rng.uniform(0, 8, (32, 30)), (1, 4))
-    q = np.roll(d, 5, axis=1) + rng.normal(0, 1e-3, d.shape)
-    c = np.stack([rng.uniform(0, 8, d.shape), d, d.copy(), rng.uniform(0, 8, d.shape)])
-    assert _loop_best(q, c)[:2] == (1, 25)
+    q = np.roll(d + np.tile(rng.normal(0, 1e-3, (32, 30)), (1, 4)), 5, axis=1)
+    c = np.stack([_tiled(rng, d.shape), d, d.copy(), _tiled(rng, d.shape)])
+    assert _loop_best(q, c[..., :60])[:2] == (1, 25)
     _assert_bitwise_like_the_loop(q, c)
     _assert_bitwise_like_the_loop(q, c[1:2])
 
 
 def test_near_ties_inside_the_screen_slack_are_confirmed_exactly():
-    # a constant query makes every shift score the same multiset of terms,
-    # so the exact means differ only in rounding, well inside the slack
+    # against a constant query, candidates whose halves are permutations of
+    # one another score the same multiset of terms at every shift, so their
+    # exact means differ only in rounding, well inside the slack
     rng = np.random.default_rng(0)
     q = np.full((32, 120), 4.0)
-    c = rng.uniform(0, 8, (3, 32, 120))
-    exact = _loop_table(q, c)
-    assert all(len(np.unique(row)) > 1 for row in exact)
-    assert np.all(np.ptp(exact, axis=1) <= screen_slack(exact.min(axis=1), q.size))
+    half = rng.uniform(0, 8, 32 * 60)
+    c = np.stack([np.tile(rng.permutation(half).reshape(32, 60), 2) for _ in range(6)])
+    exact = _loop_table(q, c[..., :60])
+    assert len(np.unique(exact)) > 1
+    assert np.ptp(exact) <= screen_slack(exact.min(), q.size // 2)
     _assert_bitwise_like_the_loop(q, c)
     for one in c:
         _assert_bitwise_like_the_loop(q, one[None])
@@ -198,75 +207,52 @@ def test_near_ties_inside_the_screen_slack_are_confirmed_exactly():
 @settings(max_examples=200, deadline=None)
 @given(data=st.data())
 def test_screen_entries_lie_within_the_documented_slack(data):
-    # arbitrary inputs, half-periodic ones (a drawn half tiled, the second copy
-    # perturbed by up to a drawn delta, 0 included) and odd widths
-    kind = data.draw(st.sampled_from(["arbitrary", "half-periodic", "odd"]), label="kind")
+    # any finite query and stored halves, near-copies of the query's
+    # shifted halves included, so the confirm sees near ties
     rows = data.draw(st.integers(1, 8), label="rows")
-    widths = {
-        "arbitrary": st.integers(2, 40),
-        "half-periodic": st.integers(1, 20).map(lambda h: 2 * h),
-        "odd": st.integers(1, 19).map(lambda h: 2 * h + 1),
-    }
-    width = data.draw(widths[kind], label="width")
+    half = data.draw(st.integers(1, 20), label="half")
     n = data.draw(st.integers(1, 4), label="n")
     values = st.floats(-1e6, 1e6, allow_nan=False, allow_infinity=False)
-
-    def draw_descs(shape, label):
-        if kind != "half-periodic":
-            return data.draw(arrays(np.float64, shape, elements=values), label=label)
-        half_shape = shape[:-1] + (width // 2,)
-        half = data.draw(arrays(np.float64, half_shape, elements=values), label=label)
-        delta = data.draw(st.just(0.0) | st.floats(1e-12, 1e3), label=f"{label} delta")
-        unit = data.draw(arrays(np.float64, half_shape, elements=st.floats(-1, 1)), label=f"{label} noise")
-        return np.concatenate([half, half + delta * unit], axis=-1)
-
-    q = draw_descs((rows, width), "query")
-    c = draw_descs((n, rows, width), "candidates")
+    q = data.draw(arrays(np.float64, (rows, 2 * half), elements=values), label="query")
+    c = data.draw(arrays(np.float64, (n, rows, half), elements=values), label="halves")
+    if data.draw(st.booleans(), label="near copy"):
+        k = data.draw(st.integers(0, half - 1), label="k")
+        delta = data.draw(st.just(0.0) | st.floats(1e-12, 1e3), label="delta")
+        unit = data.draw(arrays(np.float64, (rows, half), elements=st.floats(-1, 1)), label="noise")
+        c[-1] = circular_shift(q, k)[:, :half] + delta * unit
     table, slack = shift_l1_table(q, c)
-    assert table.shape == slack.shape == (n, width // 2)
+    assert table.shape == slack.shape == (n, half)
+    np.testing.assert_array_equal(slack, screen_slack(table, rows * half))
     brute = np.array(
-        [[np.abs(np.roll(q, k, 1) - ci).mean() for k in range(width // 2)] for ci in c]
+        [[np.abs(np.roll(q, k, 1)[:, :half] - ci).mean() for k in range(half)] for ci in c]
     )
     assert np.all(np.abs(table - brute) <= slack)
     assert confirm_min(q, c, table, slack) == _loop_best(q, c)
 
 
-def test_scene_descriptors_leave_few_entries_to_the_second_tier(monkeypatch):
-    # spectrum descriptors repeat after half their width, so the half-width
-    # tier settles nearly every (candidate, shift) entry on its own
-    cfg = Config()
-    scenes = [synth.generate(synth.SceneSpec(seed=s, pillars=25, walls=6, rings=2)) for s in range(50, 70)]
-    c = np.stack([describe(s, cfg) for s in scenes])
-    q = describe(synth.perturb(scenes[7], tx=0.6, ty=-0.4, yaw_deg=35.0), cfg)
-    assert c.shape == (20, 32, 120)
-    calls = []
-
-    def recording(xa, xb, metric):
-        calls.append((len(xa), len(xb)))
-        return cdist(xa, xb, metric)
-
-    monkeypatch.setattr(matching, "cdist", recording)
-    idx = KeyframeIndex(exclusion_horizon=0)
-    for fid, desc in enumerate(c):
-        idx.insert(fid, desc)
-    order = [fid for fid, _ in idx.retrieve(q, 20)]
-    res = idx.match(q, 20, np.inf, np.inf)
-    i, k, d = _loop_best(q, c[order])
-    assert (res.candidate_id, res.best_shift, res.d_l1) == (order[i], k, d)
-    assert res.candidate_id == 7
-    (n1, k1), (n2, k2) = calls
-    assert (n1, k1) == (20, 60)
-    assert n2 * k2 < 0.1 * n1 * k1
+def test_descriptor_half_keeps_the_first_half_of_a_repeating_descriptor():
+    d = _rand_desc(12, 8, 12)
+    half = descriptor_half(d)
+    np.testing.assert_array_equal(half, d[:, :6])
+    half[0, 0] = -1.0  # a copy, not a view
+    assert d[0, 0] != -1.0
+    # halves that differ by one float32 ulp at a value of 16 or more still repeat
+    e = np.full((4, 8), 16.0, dtype=np.float32)
+    e[2, 5] = np.nextafter(np.float32(16.0), np.float32(32.0))
+    assert np.abs(e[:, :4] - e[:, 4:]).max() == 2.0**-19
+    np.testing.assert_array_equal(descriptor_half(e), np.full((4, 4), 16.0))
+    assert best_shift_l1(e, e).d_l1 == 0.0
 
 
-def test_random_descriptors_are_screened_on_every_column():
-    # far from half-periodic, so tier 1 rules nothing out and tier 2 brings
-    # every entry to the full-width mean and its rounding slack
-    rng = np.random.default_rng(42)
-    q = rng.uniform(0.05, 1.05, (32, 120))
-    c = rng.uniform(0.05, 1.05, (20, 32, 120))
-    table, slack = shift_l1_table(q, c)
-    np.testing.assert_array_equal(slack, screen_slack(table, q.size))
+def test_descriptor_half_rejects_an_odd_width_and_a_non_repeating_array():
+    with pytest.raises(ValueError, match="width 13 is odd"):
+        descriptor_half(np.ones((4, 13)))
+    d = _rand_desc(13, 8, 12)
+    d[3, 8] += 4 * HALF_PERIOD_RTOL * np.abs(d).max()
+    with pytest.raises(ValueError, match="does not repeat after half its width"):
+        descriptor_half(d)
+    with pytest.raises(ValueError, match="does not repeat after half its width"):
+        best_shift_l1(_rand_desc(14), np.random.default_rng(15).uniform(0, 8, (32, 120)))
 
 
 def test_non_finite_descriptors_rejected():
@@ -278,7 +264,7 @@ def test_non_finite_descriptors_rejected():
             with pytest.raises(ValueError, match="non-finite"):
                 best_shift_l1(*args)
             with pytest.raises(ValueError, match="non-finite"):
-                shift_l1_table(args[0], args[1][None])
+                shift_l1_table(args[0], args[1][None, :, :60])
 
 
 def test_row_cosine_identical_rows_scores_zero():

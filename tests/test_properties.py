@@ -95,7 +95,7 @@ def _retrieved(descs, query, k):
 
 
 def test_retrieval_oracle_rejects_a_wrong_list():
-    descs = list(np.random.default_rng(42).uniform(0.1, 2.0, (40, 8, 12)))
+    descs = list(np.tile(np.random.default_rng(42).uniform(0.1, 2.0, (40, 8, 6)), 2))
     descs[29] = descs[7].copy()  # an exact tie, which goes to the smaller position
     want = properties.linear_scan([make_key(d) for d in descs], make_key(descs[7]), 5)
     assert want[:2] == [7, 29]
