@@ -116,6 +116,8 @@ def _coerce(name: str, value):
             if text in ("0", "false", "off", "no"):
                 return False
             raise ValueError(value)
+        if isinstance(value, bool):  # a JSON true is not the number 1
+            raise ValueError(value)
         if kind == "int":
             out = int(value)
             if isinstance(value, float) and value != out:

@@ -16,10 +16,11 @@ Generic layout::
 
 Pose files are optional (index building needs none); evaluation refuses a
 dataset without one.  KITTI pose rows map camera coordinates to world, so
-the calib Tr is applied to express every pose in the sensor frame; when
-calib.txt is absent the identity is used, which only offsets positions by
-the fixed sensor lever arm.  Text files are UTF-8; malformed ones raise
-FormatError.
+the calib Tr is applied to express every pose in the sensor frame.  When
+calib.txt is absent the poses stay in the camera frame, whose axes are
+permuted against the sensor's, so evaluation refuses such a dataset; index
+building and queries need no poses.  Text files are UTF-8; malformed ones
+raise FormatError.
 """
 
 from __future__ import annotations

@@ -327,6 +327,11 @@ def run_evaluation(
         raise FormatError(
             f"{dataset.root}: dataset has no pose file; evaluation needs ground truth"
         )
+    if dataset.fmt == "kitti" and not (dataset.root / "calib.txt").exists():
+        raise FormatError(
+            f"{dataset.root}: no calib.txt; kitti poses.txt is in the camera frame, and"
+            " evaluation needs its Tr line to express the poses in the sensor frame"
+        )
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     say = log if log is not None else lambda _m: None

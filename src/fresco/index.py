@@ -14,7 +14,7 @@ from scipy.spatial import cKDTree
 
 from .cloud import FormatError
 from .config import Config
-from .matching import circular_shift, confirm_min, descriptor_half, row_cosine, shift_l1_table
+from .matching import circular_shift, descriptor_half, row_cosine, shift_l1_table
 from .pose import shift_to_rotation
 
 _MAGIC = b"FRIX"
@@ -164,22 +164,24 @@ class KeyframeIndex:
     ) -> MatchResult:
         """Score retrieved candidates and decide acceptance.
 
-        All candidates' stored halves are screened in one batched shift
-        search (``shift_l1_table``) and the near-minimal entries confirmed
-        exactly (``confirm_min``), so ``d_l1`` is the exact mean over the
-        first width/2 columns of the shifted query and the stored half.  The
-        candidate minimizing it (ties to the earliest in retrieval order,
-        then to the smallest shift) is checked once against both thresholds,
-        ``d_r`` on its full-width tiling; a cosine rejection is final (no
-        fallback to the runner-up).  Scores are reported either way so
-        callers can sweep thresholds afterwards.
+        All candidates' stored halves are scored in one batched shift search
+        (``shift_l1_table``), and ``d_l1`` is that table's smallest entry: the
+        mean over the first width/2 columns of the shifted query and the
+        stored half.  The candidate and shift minimizing it (ties to the
+        earliest in retrieval order, then to the smallest shift) are checked
+        once against both thresholds, ``d_r`` on the candidate's full-width
+        tiling; a cosine rejection is final (no fallback to the runner-up).
+        Scores are reported either way so callers can sweep thresholds
+        afterwards.
         """
         desc = np.asarray(desc, dtype=np.float64)
         ids = [fid for fid, _ in self.retrieve(desc, num_candidates)]
         if not ids:
             return MatchResult(None, np.inf, np.inf, 0, 0.0, False)
         halves = np.stack([self._half(fid) for fid in ids])
-        best, shift, d_l1 = confirm_min(desc, halves, *shift_l1_table(desc, halves))
+        table = shift_l1_table(desc, halves)
+        best, shift = divmod(int(np.argmin(table)), table.shape[1])  # row-major: ties go first
+        d_l1 = float(table[best, shift])
         # shift(desc, k) ~ candidate, so the candidate aligned to desc is shift(candidate, -k)
         d_r = row_cosine(desc, circular_shift(np.tile(halves[best], 2), -shift))
         accepted = d_l1 <= l1_threshold and d_r <= cosine_threshold

@@ -202,6 +202,25 @@ def test_query_match_without_a_scan_in_the_dataset_is_an_io_error(places, tmp_pa
     assert "frame 3" in err and str(other) in err and "Traceback" not in err
 
 
+def test_kitti_eval_without_calib_is_a_format_error(places, tmp_path, capsys):
+    # poses.txt is in the camera frame; without Tr it cannot be scored against sensor motion
+    root, _, _ = places
+    (tmp_path / "velodyne").mkdir()
+    for i in range(3):
+        (tmp_path / "velodyne" / f"{i:06d}.bin").write_bytes((root / f"{i:06d}.bin").read_bytes())
+    eye = "1 0 0 0 0 1 0 0 0 0 1 0\n"
+    (tmp_path / "poses.txt").write_text(eye * 3)
+    args = ["--dataset", str(tmp_path), "--format", "kitti"]
+    code = main(["eval", *args, "--out", str(tmp_path / "out")])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "calib.txt" in err and "Traceback" not in err
+    assert not (tmp_path / "out").exists()
+    assert main(["build", *args, "--out", str(tmp_path / "x.frix")]) == 0
+    (tmp_path / "calib.txt").write_text("Tr: " + eye)
+    assert main(["eval", *args, "--out", str(tmp_path / "out")]) == 0
+
+
 def test_eval_single_revisit_reaches_perfect_f1(loop_dataset, tmp_path, capsys):
     out = tmp_path / "cover"
     code = main(["eval", "--dataset", str(loop_dataset), "--out", str(out)])

@@ -185,6 +185,18 @@ def test_infinite_int_is_a_config_error(field, tmp_path):
             load_config(p)
 
 
+@pytest.mark.parametrize(
+    "field", [f.name for f in dataclasses.fields(Config) if f.type in ("int", "float")]
+)
+def test_json_boolean_for_a_numeric_field_is_a_config_error(field, tmp_path):
+    # bool is an int subclass in Python, so int(True) would read as 1
+    p = tmp_path / "cfg.json"
+    for value in (True, False):
+        p.write_text(json.dumps({"version": 1, field: value}))
+        with pytest.raises(ConfigError, match=rf"^{field}: cannot interpret (True|False) as "):
+            load_config(p)
+
+
 def test_load_config_round_trip(tmp_path):
     p = tmp_path / "cfg.json"
     p.write_text(json.dumps({"version": 1, "num_candidates": 7}))
