@@ -8,7 +8,6 @@ format problem, 3 degenerate input data (e.g. an all-ground scan).
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import sys
 import time
@@ -73,7 +72,6 @@ def _build_parser() -> argparse.ArgumentParser:
     e.add_argument("--dataset", required=True, help="dataset directory")
     e.add_argument("--format", choices=("kitti", "generic"), default="generic")
     e.add_argument("--out", default="eval_out", help="output directory")
-    e.add_argument("--stage2", choices=("on", "off"), help="toggle 3D refinement")
     e.add_argument("--svg", action="store_true", help="also write trajectory.svg")
     _add_common(e)
     e.set_defaults(func=cmd_eval)
@@ -88,8 +86,6 @@ def _load_cfg(args) -> Config:
     cfg = load_config(args.config) if args.config else Config()
     if args.overrides:
         cfg = apply_overrides(cfg, args.overrides)
-    if getattr(args, "stage2", None):
-        cfg = dataclasses.replace(cfg, stage2=args.stage2 == "on")
     return cfg
 
 

@@ -4,9 +4,8 @@ This is the one module that turns ``Config`` fields into layer calls:
 ``preprocess`` (crop and ground removal), ``describe_preprocessed`` (BEV,
 log spectrum, polar descriptor), ``describe`` (both of those), ``match``
 (an index's decision at the configured thresholds), ``compact_2d``
-(planar registration input), ``planar_pose`` (two-branch planar NICP
-stepped in lockstep, where the first branch to converge stops the other
-and the lower truncated score wins, see ``fresco.pose``), ``stage1_pose``
+(planar registration input), ``planar_pose`` (two-branch planar NICP,
+see ``pose._nicp_lockstep``), ``stage1_pose``
 (``planar_pose`` of two raw clouds) and ``relative_pose`` (both stages).
 The CLI and the evaluation harness call these instead of unpacking the
 config themselves.  The clouds they take carry points only: a scan's
@@ -102,13 +101,15 @@ def relative_pose(
     ``cfg.stage2`` the planar pose seeds ``refine_pose_3d``; without it the
     planar pose passes through with its 3D score and ``success`` from a
     zero-iteration refine, and ``converged`` from stage 1.  ``phase(name)``
-    is entered around each stage ("stage1", "stage2") to time it.
+    is entered around each step that runs to time it: "stage1", then
+    "stage2" or, with stage 2 off, "score".
     """
     with phase("stage1"):
         planar = planar_pose(compact_2d(query, cfg), compact_2d(candidate, cfg), best_shift, cfg)
     # looked up through the module, so a wrapper installed there sees the call
     if not cfg.stage2:
-        seed = pose.refine_pose_3d(query, candidate, planar, cfg.voxel_m, max_iters=0)
+        with phase("score"):
+            seed = pose.refine_pose_3d(query, candidate, planar, cfg.voxel_m, max_iters=0)
         return replace(seed, converged=planar.converged)
     with phase("stage2"):
         return pose.refine_pose_3d(query, candidate, planar, cfg.voxel_m)

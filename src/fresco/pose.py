@@ -7,9 +7,7 @@ truncated score: the mean over all query points of the squared distance to
 the nearest candidate point, each capped at the final gate.  Unlike the
 gated mse, it charges a branch for every point it leaves unexplained, so an
 alias that fits few points closely does not win.  The two branches step in
-lockstep over one k-d tree of the candidate: once one has converged, the
-other stops where it stands and is scored there, and a branch that ends
-without converging lets the other run to its own end.
+lockstep over one k-d tree of the candidate (``_nicp_lockstep``).
 """
 
 from __future__ import annotations
@@ -362,57 +360,50 @@ def nicp_2d(
     capped at ``gate_end_m``.  Nothing beyond the current gate is searched
     for a correspondence.
 
-    This is one branch of ``estimate_pose_stage1`` run to its end: the same
-    stepper (``_nicp_steps``), which stage 1 may stop early.
+    This is ``_nicp_lockstep`` from one seed: one branch of
+    ``estimate_pose_stage1`` run to its end.
     """
     (pose,) = _nicp_lockstep(src, dst, (yaw_init,), max_iters, gate_start_m, gate_end_m)
     return pose
 
 
-def _nicp_steps(src, dst, tree, yaw_init, max_iters, gate_start_m, gate_end_m):
-    """``nicp_2d``'s iteration from one yaw seed, one applied step at a time.
+def _nicp_step(src, dst, tree, pose: Se2Pose, gate: float) -> bool:
+    """One ``nicp_2d`` step of ``pose`` at correspondence gate ``gate``.
 
-    Yields ``(tx, ty, yaw, trace, converged)`` at the seed and again after
-    each applied step; ``yaw`` is not wrapped and ``trace`` holds the
-    (before, after) objective pair of every step so far.  It ends after the
-    converged step, or where ``nicp_2d`` stops without converging.
+    Moves ``pose`` (its yaw left unwrapped), appends the step's (before,
+    after) objective to its trace and sets ``converged``.  Returns False,
+    leaving the pose as it stands, when the branch stops here without
+    converging.
     """
-    tx, ty, yaw = 0.0, 0.0, float(yaw_init)
-    trace = []
-    yield tx, ty, yaw, trace, False
-    for it in range(max_iters):
-        gate = _gate_at(it, max_iters, gate_start_m, gate_end_m)
-        p = transform_xy(src.points, tx, ty, yaw)
-        dist, j = _query_within(tree, p, gate)
-        m = dist <= gate
-        if m.sum() < 3:
-            return
-        pm = p[m]
-        qm = dst.points[j[m]]
-        nm = dst.normals[j[m]]
-        r = ((pm - qm) * nm).sum(axis=1)
-        before = float((r**2).mean())
-        a = np.column_stack([(pm @ _J.T * nm).sum(axis=1), nm[:, 0], nm[:, 1]])
-        try:
-            step, *_ = np.linalg.lstsq(a, -r, rcond=None)
-        except np.linalg.LinAlgError:
-            return
-        dyaw, dtx, dty = (float(v) for v in step)
-        for _ in range(_STEP_HALVINGS):
-            pn = pm @ rot2(dyaw).T + np.array([dtx, dty])
-            after = float((((pn - qm) * nm).sum(axis=1) ** 2).mean())
-            if after <= before + _RISE_TOL:
-                break
-            dyaw, dtx, dty = dyaw / 2.0, dtx / 2.0, dty / 2.0
-        else:
-            return  # no non-worsening step exists; stop at this pose
-        yaw = yaw + dyaw
-        tx, ty = rot2(dyaw) @ np.array([tx, ty]) + np.array([dtx, dty])
-        trace.append((before, after))
-        converged = bool(np.hypot(dtx, dty) < _TOL_T_M and abs(dyaw) < _TOL_YAW_RAD)
-        yield tx, ty, yaw, trace, converged
-        if converged:
-            return
+    p = transform_xy(src.points, pose.tx, pose.ty, pose.yaw)
+    dist, j = _query_within(tree, p, gate)
+    m = dist <= gate
+    if m.sum() < 3:
+        return False
+    pm = p[m]
+    qm = dst.points[j[m]]
+    nm = dst.normals[j[m]]
+    r = ((pm - qm) * nm).sum(axis=1)
+    before = float((r**2).mean())
+    a = np.column_stack([(pm @ _J.T * nm).sum(axis=1), nm[:, 0], nm[:, 1]])
+    try:
+        step, *_ = np.linalg.lstsq(a, -r, rcond=None)
+    except np.linalg.LinAlgError:
+        return False
+    dyaw, dtx, dty = (float(v) for v in step)
+    for _ in range(_STEP_HALVINGS):
+        pn = pm @ rot2(dyaw).T + np.array([dtx, dty])
+        after = float((((pn - qm) * nm).sum(axis=1) ** 2).mean())
+        if after <= before + _RISE_TOL:
+            break
+        dyaw, dtx, dty = dyaw / 2.0, dtx / 2.0, dty / 2.0
+    else:
+        return False  # no non-worsening step exists
+    pose.yaw += dyaw
+    pose.tx, pose.ty = rot2(dyaw) @ np.array([pose.tx, pose.ty]) + np.array([dtx, dty])
+    pose.trace.append((before, after))
+    pose.converged = bool(np.hypot(dtx, dty) < _TOL_T_M and abs(dyaw) < _TOL_YAW_RAD)
+    return True
 
 
 def _nicp_lockstep(
@@ -426,33 +417,28 @@ def _nicp_lockstep(
     """``nicp_2d`` from each yaw seed, the branches stepped in lockstep over
     one k-d tree of ``dst``; one ``Se2Pose`` per seed, in seed order.
 
-    Each round gives every running branch one step.  After the round in
-    which a branch converges, every branch stops where it stands.  A branch
-    that ends without converging leaves the others running to their own
-    end.  Each branch is scored at the pose where it stopped, by one final
-    search at ``gate_end_m``.  With one seed this is ``nicp_2d`` run to its end.
+    Iteration ``it`` gives every live branch one step at that iteration's
+    gate.  A branch that stops without converging drops out and leaves the
+    others running.  After the first iteration in which any branch
+    converges, every branch stops where it stands.  Each branch is then
+    scored at its pose by one final search at ``gate_end_m``.  With one seed
+    this is ``nicp_2d`` run to its end.
     """
     if min(src.points.shape[0], dst.points.shape[0]) < _MIN_POINTS:
         raise InsufficientStructureError(f"both clouds need at least {_MIN_POINTS} points")
     tree = cKDTree(dst.points)
-    runs = [_nicp_steps(src, dst, tree, s, max_iters, gate_start_m, gate_end_m) for s in seeds]
-    states = [next(run) for run in runs]
-    live = dict(enumerate(runs))
-    while live and not any(converged for *_, converged in states):
-        for k in list(live):
-            state = next(live[k], None)
-            if state is None:
-                del live[k]
-            else:
-                states[k] = state
-    poses = []
-    for tx, ty, yaw, trace, converged in states:
-        dist, _ = _query_within(tree, transform_xy(src.points, tx, ty, yaw), gate_end_m)
-        mse = _gated_mse(dist, gate_end_m)
-        score = float((np.minimum(dist, gate_end_m) ** 2).mean())
-        poses.append(
-            Se2Pose(float(tx), float(ty), wrap_angle(yaw), mse, score, converged, trace=trace)
-        )
+    poses = [Se2Pose(0.0, 0.0, float(s)) for s in seeds]
+    live = poses
+    for it in range(max_iters):
+        gate = _gate_at(it, max_iters, gate_start_m, gate_end_m)
+        live = [p for p in live if _nicp_step(src, dst, tree, p, gate)]
+        if any(p.converged for p in live):
+            break
+    for p in poses:
+        dist, _ = _query_within(tree, transform_xy(src.points, p.tx, p.ty, p.yaw), gate_end_m)
+        p.tx, p.ty, p.yaw = float(p.tx), float(p.ty), wrap_angle(p.yaw)
+        p.mse = _gated_mse(dist, gate_end_m)
+        p.score = float((np.minimum(dist, gate_end_m) ** 2).mean())
     return poses
 
 
@@ -466,13 +452,11 @@ def estimate_pose_stage1(
     """Run planar alignment from both yaw seeds and keep the lower-score branch.
 
     Seeds are the descriptor rotation estimate and that estimate plus 180
-    degrees.  The two ``nicp_2d`` branches run in lockstep, one step each
-    per round, over one k-d tree of the candidate.  Once one branch has
-    converged, the other stops where it stands and is scored at that pose;
-    a branch that ends without converging lets the other run to its own
-    end.  The lower truncated score wins and a tie keeps the first.  The
-    returned pose maps query-frame points into the candidate frame and
-    carries the chosen branch (0 or 1).
+    degrees.  The two ``nicp_2d`` branches run in lockstep
+    (``_nicp_lockstep``) over one k-d tree of the candidate.  The lower
+    truncated score wins and a tie keeps the first.  The returned pose maps
+    query-frame points into the candidate frame and carries the chosen
+    branch (0 or 1).
     """
     base = np.radians(shift_to_rotation(best_shift, angular_bins))
     first, second = _nicp_lockstep(query, candidate, (base, base + np.pi), **nicp_kw)

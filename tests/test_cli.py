@@ -240,13 +240,14 @@ def test_eval_single_revisit_reaches_perfect_f1(loop_dataset, tmp_path, capsys):
 def test_eval_stage2_off_skips_that_phase(loop_dataset, tmp_path):
     out = tmp_path / "nostage2"
     code = main(
-        ["eval", "--dataset", str(loop_dataset), "--out", str(out), "--stage2", "off",
+        ["eval", "--dataset", str(loop_dataset), "--out", str(out), "--set", "stage2=off",
          "--svg"]
     )
     assert code == 0
     report = json.loads((out / "report.json").read_text())
     assert "stage2" not in report["runtime_ms"]
     assert "stage1" in report["runtime_ms"]
+    assert "score" in report["runtime_ms"]
     assert report["pose"]["count"] == 1
     assert (out / "trajectory.svg").exists()
     lines = (out / "poses.csv").read_text().splitlines()

@@ -230,10 +230,12 @@ def test_nicp_stops_at_the_seed_when_no_halved_step_helps():
 
 def test_stage1_identity():
     c = _compact(_scene(55))
-    pose = estimate_pose_stage1(c, c, 0, 120)
-    assert np.hypot(pose.tx, pose.ty) < 1e-6
-    assert abs(pose.yaw) < 1e-6
-    assert pose.branch == 0
+    # shift 59 seeds 177 degrees: the alias seed, 357, wins and ends near 360
+    for shift, branch in ((0, 0), (59, 1)):
+        pose = estimate_pose_stage1(c, c, shift, 120)
+        assert np.hypot(pose.tx, pose.ty) < 1e-6
+        assert abs(pose.yaw) < 1e-6
+        assert pose.branch == branch
 
 
 def test_stage1_resolves_180_ambiguity():
@@ -329,9 +331,14 @@ def test_stage1_stops_the_losing_branch_once_the_kept_one_converges(nn_searches)
     assert est.converged
     steps = len(est.trace)
     assert steps < cfg.nicp_max_iters
-    # a search per step and one for the final score, per branch: the loser
-    # took at most as many steps as the winner before it stopped
-    assert len(nn_searches) <= 2 * (steps + 1)
+    # a search per branch and iteration at that iteration's gate, the loser's
+    # included in the iteration the winner converged in, then one final
+    # search per branch at the end gate
+    gates = [
+        pose_mod._gate_at(it, cfg.nicp_max_iters, cfg.nicp_gate_start_m, cfg.nicp_gate_end_m)
+        for it in range(steps)
+    ]
+    assert nn_searches == [g for g in gates for _ in (0, 1)] + [cfg.nicp_gate_end_m] * 2
 
 
 @pytest.mark.parametrize("alias_branch", [0, 1])
@@ -711,7 +718,7 @@ def test_relative_pose_times_each_stage_that_runs(stage2):
         return nullcontext()
 
     relative_pose(q, c, k, replace(cfg, stage2=stage2), phase)
-    assert entered == (["stage1", "stage2"] if stage2 else ["stage1"])
+    assert entered == (["stage1", "stage2"] if stage2 else ["stage1", "score"])
 
 
 def test_relative_pose_propagates_insufficient_structure():
