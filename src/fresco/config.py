@@ -30,34 +30,26 @@ class Config:
     tp_radius_m: float = 10.0
     ground_cell_m: float = 1.0
     ground_margin_m: float = 0.3
-    coarse_grid_m: float = 4.0
-    cell_cap: int = 10
     voxel_m: float = 0.4
-    normal_neighbors: int = 10
-    max_flatness_ratio: float = 0.8
-    nicp_max_iters: int = 30
-    nicp_gate_start_m: float = 8.0
-    nicp_gate_end_m: float = 0.5
     stage2: bool = True
 
 
 _FIELDS = {f.name: f for f in dataclasses.fields(Config)}
-_LENGTHS_M = ("window_m", "ground_cell_m", "ground_margin_m", "coarse_grid_m", "voxel_m",
-              "nicp_gate_start_m")  # finite; the thresholds may be inf, meaning no gate
+# finite; the thresholds may be inf, meaning no gate
+_LENGTHS_M = ("window_m", "ground_cell_m", "ground_margin_m", "voxel_m")
 # MAX_GRID_SIDE**2 (about 4.2e6) entries cap every dense per-scan array: the
 # per-cell arrays of ground removal and compaction (each laid on the
 # cloud.grid_cells grid of its cell size over the window_m crop, so
-# window_m / cell bounds its side), the grid_size**2 BEV image and its FFT,
+# window_m / cell bounds its side; compaction's cell is COARSE_GRID_M, so
+# that bound falls on window_m), the grid_size**2 BEV image and its FFT,
 # and, at twice its size, the (angular_bins // 2) x (radial_bins *
 # angular_bins // 2) block of shifted query halves the shift search builds.
 MAX_GRID_SIDE = 2048
-# MAX_WORK_FACTOR caps each count that multiplies a query's registration work:
-# the planar ICP's iterations (nicp_max_iters, run for two branches per pose),
-# the neighbors of each compacted point's normal fit (normal_neighbors), and
-# the points kept per coarse cell (cell_cap), which with the coarse grid bounds
-# how many points are compacted.  README.md states the worst case per query.
-MAX_WORK_FACTOR = 256
-_CELLS_M = ("ground_cell_m", "coarse_grid_m", "voxel_m")
+# The coarse cell (m) of stage 1's compaction (``pose.extract_compact_2d``).
+# It is written here, not beside stage 1's other fixed values in ``pose``,
+# because ``validate`` bounds window_m by it.
+COARSE_GRID_M = 4.0
+_CELLS_M = ("ground_cell_m", "voxel_m")
 
 
 def validate(cfg: Config) -> Config:
@@ -65,6 +57,8 @@ def validate(cfg: Config) -> Config:
     checks = [
         ("version", cfg.version == 1, "must be 1"),
         *((f, 0 < getattr(cfg, f) < math.inf, "must be positive and finite") for f in _LENGTHS_M),
+        ("window_m", cfg.window_m <= MAX_GRID_SIDE * COARSE_GRID_M,
+         f"must be at most {MAX_GRID_SIDE} coarse cells of {COARSE_GRID_M:g} m"),
         # a product, not a quotient: a zero cell is named by the check above
         *((f, cfg.window_m <= MAX_GRID_SIDE * getattr(cfg, f),
            f"must be at least window_m / {MAX_GRID_SIDE}") for f in _CELLS_M),
@@ -89,14 +83,6 @@ def validate(cfg: Config) -> Config:
         ("exclusion_horizon", cfg.exclusion_horizon >= 0, "must be >= 0"),
         ("keyframe_spacing_m", cfg.keyframe_spacing_m > 0, "must be positive"),
         ("tp_radius_m", cfg.tp_radius_m > 0, "must be positive"),
-        ("cell_cap", 1 <= cfg.cell_cap <= MAX_WORK_FACTOR, f"must lie in [1, {MAX_WORK_FACTOR}]"),
-        ("normal_neighbors", 2 <= cfg.normal_neighbors <= MAX_WORK_FACTOR,
-         f"must lie in [2, {MAX_WORK_FACTOR}]"),
-        ("max_flatness_ratio", 0 < cfg.max_flatness_ratio <= 1, "must lie in (0, 1]"),
-        ("nicp_max_iters", 1 <= cfg.nicp_max_iters <= MAX_WORK_FACTOR,
-         f"must lie in [1, {MAX_WORK_FACTOR}]"),
-        ("nicp_gate_end_m", 0 < cfg.nicp_gate_end_m <= cfg.nicp_gate_start_m,
-         "must be positive and <= nicp_gate_start_m"),
     ]
     for name, ok, why in checks:
         if not ok:

@@ -8,11 +8,15 @@ log spectrum, polar descriptor), ``describe`` (both of those), ``match``
 see ``pose._nicp_lockstep``), ``stage1_pose``
 (``planar_pose`` of two raw clouds) and ``relative_pose`` (both stages).
 The CLI and the evaluation harness call these instead of unpacking the
-config themselves.  The clouds they take carry points only: a scan's
-frame id is its key in ``Dataset.scans``.  ``stage1_pose`` has no
-caller in the package: the planar gates of ``tests/test_acceptance.py`` and
-the benchmark's ``relocalize`` round use it, until that round times
-``relative_pose`` instead.
+config themselves.  Registration reads only ``voxel_m``, ``angular_bins``
+and ``stage2`` from the config; its other values are fixed, stage 1's as
+``config.COARSE_GRID_M`` and the ``pose.COMPACT_*`` and ``pose.STAGE1_*``
+constants, stage 2's as the ``pose.STAGE2_*`` constants.  The clouds these
+functions take carry points only: a scan's frame id is its key in
+``Dataset.scans``.  ``stage1_pose`` has no caller in the package: the
+planar gates of ``tests/test_acceptance.py`` and the benchmark's
+``relocalize`` round use it, until that round times ``relative_pose``
+instead.
 """
 
 from __future__ import annotations
@@ -55,29 +59,14 @@ def match(index: KeyframeIndex, desc: np.ndarray, cfg: Config) -> MatchResult:
 
 def compact_2d(pre: PointCloud, cfg: Config) -> Compact2dCloud:
     """Condense an already ``preprocess``ed cloud for planar registration."""
-    return extract_compact_2d(
-        pre,
-        cfg.coarse_grid_m,
-        cfg.cell_cap,
-        cfg.voxel_m,
-        cfg.normal_neighbors,
-        cfg.max_flatness_ratio,
-    )
+    return extract_compact_2d(pre, voxel_m=cfg.voxel_m)
 
 
 def planar_pose(
     query: Compact2dCloud, candidate: Compact2dCloud, best_shift: int, cfg: Config
 ) -> Se2Pose:
     """Stage-1 relative pose between two compact clouds given the descriptor shift."""
-    return estimate_pose_stage1(
-        query,
-        candidate,
-        best_shift,
-        cfg.angular_bins,
-        max_iters=cfg.nicp_max_iters,
-        gate_start_m=cfg.nicp_gate_start_m,
-        gate_end_m=cfg.nicp_gate_end_m,
-    )
+    return estimate_pose_stage1(query, candidate, best_shift, cfg.angular_bins)
 
 
 def stage1_pose(

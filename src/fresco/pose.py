@@ -19,9 +19,20 @@ import numpy as np
 from scipy.spatial import cKDTree
 
 from .cloud import PointCloud, grid_cells
-from .config import Config
+from .config import COARSE_GRID_M, Config
 
 
+# Compaction keeps at most this many upper points per coarse cell
+# (``config.COARSE_GRID_M``), fits each kept point's normal to this many
+# neighbors, and drops a point whose neighborhood's eigenvalue ratio exceeds
+# the flatness bound.
+COMPACT_CELL_CAP = 10
+COMPACT_NORMAL_NEIGHBORS = 10
+COMPACT_MAX_FLATNESS = 0.8
+# Stage 1's iteration budget per branch, and its correspondence gate (m),
+# annealed from the start value to the end value over those iterations.
+STAGE1_MAX_ITERS = 30
+STAGE1_GATE_START_M, STAGE1_GATE_END_M = 8.0, 0.5
 # Stage 2 calls a pose a success when its gated mse (m^2) is below this.
 STAGE2_SUCCESS_MSE = 1.5
 # Stage 2 registers at most this many query centroids, evenly spaced in voxel
@@ -268,11 +279,11 @@ def _cap_per_cell(cells: np.ndarray, cap: int) -> np.ndarray:
 
 def extract_compact_2d(
     cloud: PointCloud,
-    coarse_grid_m: float = Config.coarse_grid_m,
-    cell_cap: int = Config.cell_cap,
+    coarse_grid_m: float = COARSE_GRID_M,
+    cell_cap: int = COMPACT_CELL_CAP,
     voxel_m: float = Config.voxel_m,
-    normal_neighbors: int = Config.normal_neighbors,
-    max_flatness_ratio: float = Config.max_flatness_ratio,
+    normal_neighbors: int = COMPACT_NORMAL_NEIGHBORS,
+    max_flatness_ratio: float = COMPACT_MAX_FLATNESS,
 ) -> Compact2dCloud:
     """Condense a (ground-removed) cloud into a 2D outline with normals.
 
@@ -339,15 +350,17 @@ def nicp_2d(
     src: Compact2dCloud,
     dst: Compact2dCloud,
     yaw_init: float,
-    max_iters: int = Config.nicp_max_iters,
-    gate_start_m: float = Config.nicp_gate_start_m,
-    gate_end_m: float = Config.nicp_gate_end_m,
+    max_iters: int = STAGE1_MAX_ITERS,
+    gate_start_m: float = STAGE1_GATE_START_M,
+    gate_end_m: float = STAGE1_GATE_END_M,
 ) -> Se2Pose:
     """Planar point-to-plane alignment of src onto dst.
 
     Translation starts at zero and yaw at the seed.  The correspondence
     gate anneals linearly from ``gate_start_m`` to ``gate_end_m`` so early
-    iterations can absorb multi-meter revisit offsets.  Each Gauss-Newton
+    iterations can absorb multi-meter revisit offsets.  The budget and gates
+    default to stage 1's fixed values, ``STAGE1_MAX_ITERS`` and
+    ``STAGE1_GATE_START_M`` -> ``STAGE1_GATE_END_M``.  Each Gauss-Newton
     step is halved until the residual on that iteration's correspondences
     does not increase, trying at most ``_STEP_HALVINGS`` step sizes, so the
     recorded objective never rises within a step.
@@ -410,9 +423,9 @@ def _nicp_lockstep(
     src: Compact2dCloud,
     dst: Compact2dCloud,
     seeds,
-    max_iters: int = Config.nicp_max_iters,
-    gate_start_m: float = Config.nicp_gate_start_m,
-    gate_end_m: float = Config.nicp_gate_end_m,
+    max_iters: int = STAGE1_MAX_ITERS,
+    gate_start_m: float = STAGE1_GATE_START_M,
+    gate_end_m: float = STAGE1_GATE_END_M,
 ) -> list[Se2Pose]:
     """``nicp_2d`` from each yaw seed, the branches stepped in lockstep over
     one k-d tree of ``dst``; one ``Se2Pose`` per seed, in seed order.

@@ -290,14 +290,23 @@ def test_non_finite_geometry_is_a_config_error(places, tmp_path, capsys):
     assert not (tmp_path / "x.frix").exists()
 
 
-@pytest.mark.parametrize("field", ["ground_cell_m", "coarse_grid_m", "voxel_m"])
-def test_grid_cell_too_fine_for_the_window_is_a_config_error(tmp_path, capsys, field):
+@pytest.mark.parametrize(
+    "sets, why",
+    [
+        (["ground_cell_m=1e-300"], "ground_cell_m must be at least window_m / "),
+        (["voxel_m=1e-300"], "voxel_m must be at least window_m / "),
+        # cells coarse enough for the window, but not stage 1's fixed coarse grid
+        (["window_m=1e6", "ground_cell_m=1000", "voxel_m=1000"], "window_m must be at most "),
+    ],
+    ids=["ground_cell_m", "voxel_m", "window_m"],
+)
+def test_grid_cell_too_fine_for_the_window_is_a_config_error(tmp_path, capsys, sets, why):
     # the dataset is absent: an accepted config would exit 2 before any scan is read
     code = main(["eval", "--dataset", str(tmp_path / "absent"), "--out", str(tmp_path / "out"),
-                 "--set", f"{field}=1e-300"])
+                 *(arg for pair in sets for arg in ("--set", pair))])
     assert code == 1
     err = capsys.readouterr().err
-    assert f"{field} must be at least window_m / " in err and "Traceback" not in err
+    assert why in err and "Traceback" not in err
 
 
 @pytest.mark.parametrize("field, value", [("grid_size", "1000000"), ("angular_bins", "20000")])
@@ -310,23 +319,30 @@ def test_dense_array_too_large_is_a_config_error(tmp_path, capsys, field, value)
     assert f"config error: {field} must " in err and "Traceback" not in err
 
 
-@pytest.mark.parametrize("field", ["nicp_max_iters", "normal_neighbors", "cell_cap"])
-def test_per_query_work_too_large_is_a_config_error(tmp_path, capsys, field):
-    # the dataset is absent: an accepted config would exit 2 before any scan is read
-    code = main(["eval", "--dataset", str(tmp_path / "absent"), "--out", str(tmp_path / "out"),
-                 "--set", f"{field}=1000000"])
-    assert code == 1
+_RETIRED_KEYS = ["coarse_grid_m", "cell_cap", "normal_neighbors", "max_flatness_ratio",
+                 "nicp_max_iters", "nicp_gate_start_m", "nicp_gate_end_m"]
+
+
+@pytest.mark.parametrize("key", _RETIRED_KEYS)
+@pytest.mark.parametrize("where", ["file", "set"])
+def test_retired_registration_key_is_refused_by_name(tmp_path, capsys, key, where):
+    # stage 1's fixed values were once Config fields; an old config that sets
+    # one must drop it rather than have it silently ignored
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"version": 1, key: 1}))
+    args = ["--config", str(cfg)] if where == "file" else ["--set", f"{key}=1"]
+    assert main(["selftest", *args]) == 1
     err = capsys.readouterr().err
-    assert f"config error: {field} must lie in " in err and "Traceback" not in err
+    assert f"unknown config key: {key}" in err and "Traceback" not in err
 
 
 @pytest.mark.parametrize("text", ["Infinity", "1e999"])
 def test_infinite_int_in_a_config_file_is_a_config_error(tmp_path, capsys, text):
     cfg = tmp_path / "cfg.json"
-    cfg.write_text(f'{{"version": 1, "cell_cap": {text}}}')
+    cfg.write_text(f'{{"version": 1, "num_candidates": {text}}}')
     assert main(["selftest", "--config", str(cfg)]) == 1
     err = capsys.readouterr().err
-    assert "config error" in err and "cell_cap: cannot interpret inf as int" in err
+    assert "config error" in err and "num_candidates: cannot interpret inf as int" in err
     assert "Traceback" not in err
 
 

@@ -4,17 +4,19 @@ import ast
 import dataclasses
 import inspect
 import json
+import re
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import fresco
+from fresco import pose
 from fresco.bev import make_bev
 from fresco.cloud import remove_ground
 from fresco.config import (
+    COARSE_GRID_M,
     MAX_GRID_SIDE,
-    MAX_WORK_FACTOR,
     Config,
     ConfigError,
     apply_overrides,
@@ -25,7 +27,7 @@ from fresco.config import (
 )
 from fresco.index import KeyframeIndex
 from fresco.matching import best_shift_l1, circular_shift
-from fresco.pose import extract_compact_2d, nicp_2d, refine_pose_3d
+from fresco.pose import _nicp_lockstep, extract_compact_2d, nicp_2d, refine_pose_3d
 from fresco.properties import SHIFT_L1_TOL
 from fresco.spectrum import log_spectrum, polar_unroll
 
@@ -44,23 +46,20 @@ def test_validation_names_the_field():
         from_dict({"version": 1, "angular_bins": 121})
     with pytest.raises(ConfigError, match="crop_size"):
         from_dict({"version": 1, "crop_size": 256})
-    with pytest.raises(ConfigError, match="nicp_gate_end_m"):
-        from_dict({"version": 1, "nicp_gate_start_m": 1.0, "nicp_gate_end_m": 2.0})
     with pytest.raises(ConfigError, match="version must be 1"):
         from_dict({"version": 3})
 
 
 @pytest.mark.parametrize(
     "field",
-    ["window_m", "ground_cell_m", "ground_margin_m", "coarse_grid_m", "voxel_m",
-     "nicp_gate_start_m", "nicp_gate_end_m"],
+    ["window_m", "ground_cell_m", "ground_margin_m", "voxel_m"],
 )
 def test_geometry_fields_must_be_finite(field):
     with pytest.raises(ConfigError, match=rf"^{field} .*\(got inf\)"):
         from_dict({"version": 1, field: "inf"})
 
 
-@pytest.mark.parametrize("field", ["ground_cell_m", "coarse_grid_m", "voxel_m"])
+@pytest.mark.parametrize("field", ["ground_cell_m", "voxel_m"])
 @pytest.mark.parametrize("value", ["1e-300", "0.001", str(80.0 / MAX_GRID_SIDE * 0.999)])
 def test_grid_cells_too_fine_for_the_window_are_rejected(field, value):
     # validated only: these values would make the pipeline allocate
@@ -70,13 +69,30 @@ def test_grid_cells_too_fine_for_the_window_are_rejected(field, value):
         from_dict({"version": 1, field: value})
 
 
-@pytest.mark.parametrize("field", ["ground_cell_m", "coarse_grid_m", "voxel_m"])
+@pytest.mark.parametrize("field", ["ground_cell_m", "voxel_m"])
 def test_grid_cell_bound_scales_with_the_window(field):
     finest = 80.0 / MAX_GRID_SIDE
     assert getattr(from_dict({"version": 1, field: finest}), field) == finest
     with pytest.raises(ConfigError, match=rf"^{field} "):
         from_dict({"version": 1, "window_m": 160.0, field: finest})
     from_dict({"version": 1, "window_m": 40.0, field: finest / 2})
+
+
+# coarse enough cells that only the compaction grid's bound can fail
+_COARSE_CELLS = {"ground_cell_m": 1000.0, "voxel_m": 1000.0}
+
+
+@pytest.mark.parametrize("window", ["1e6", "1e300", str(MAX_GRID_SIDE * COARSE_GRID_M * 1.001)])
+def test_window_too_wide_for_the_compaction_grid_is_rejected(window):
+    # validated only: compaction lays window_m / COARSE_GRID_M cells per side
+    why = rf"^window_m must be at most {MAX_GRID_SIDE} coarse cells of {COARSE_GRID_M:g} m "
+    with pytest.raises(ConfigError, match=why):
+        from_dict({"version": 1, "window_m": window, **_COARSE_CELLS})
+
+
+def test_window_bound_admits_the_widest_compaction_grid():
+    widest = MAX_GRID_SIDE * COARSE_GRID_M
+    assert from_dict({"version": 1, "window_m": widest, **_COARSE_CELLS}).window_m == widest
 
 
 @pytest.mark.parametrize(
@@ -101,22 +117,6 @@ def test_dense_per_scan_arrays_are_bounded(values, field):
 def test_dense_array_bounds_admit_their_largest_values():
     from_dict({"version": 1, "grid_size": MAX_GRID_SIDE})
     from_dict({"version": 1, "radial_bins": 64, "angular_bins": 360})
-
-
-@pytest.mark.parametrize("field", ["nicp_max_iters", "normal_neighbors", "cell_cap"])
-@pytest.mark.parametrize("value", [MAX_WORK_FACTOR + 1, 1_000_000])
-def test_per_query_work_factors_are_bounded(field, value):
-    # validated only: nicp_max_iters sets the planar ICP's iterations per branch,
-    # normal_neighbors the neighbor block per compacted point, cell_cap how many
-    # points are compacted
-    with pytest.raises(ConfigError, match=rf"^{field} must lie in \[\d, {MAX_WORK_FACTOR}\] "):
-        from_dict({"version": 1, field: value})
-
-
-def test_per_query_work_bounds_admit_their_largest_values():
-    fields = ("nicp_max_iters", "normal_neighbors", "cell_cap")
-    cfg = from_dict({"version": 1, **{f: MAX_WORK_FACTOR for f in fields}})
-    assert all(getattr(cfg, f) == MAX_WORK_FACTOR for f in fields)
 
 
 def test_every_accepted_geometry_gives_a_descriptor_that_repeats_after_half_its_width():
@@ -266,14 +266,7 @@ def test_library_reads_no_environment_variable():
         (polar_unroll, "angular_bins", "angular_bins"),
         (remove_ground, "cell_m", "ground_cell_m"),
         (remove_ground, "z_margin", "ground_margin_m"),
-        (extract_compact_2d, "coarse_grid_m", "coarse_grid_m"),
-        (extract_compact_2d, "cell_cap", "cell_cap"),
         (extract_compact_2d, "voxel_m", "voxel_m"),
-        (extract_compact_2d, "normal_neighbors", "normal_neighbors"),
-        (extract_compact_2d, "max_flatness_ratio", "max_flatness_ratio"),
-        (nicp_2d, "max_iters", "nicp_max_iters"),
-        (nicp_2d, "gate_start_m", "nicp_gate_start_m"),
-        (nicp_2d, "gate_end_m", "nicp_gate_end_m"),
         (refine_pose_3d, "voxel_m", "voxel_m"),
         (KeyframeIndex.__init__, "exclusion_horizon", "exclusion_horizon"),
         (KeyframeIndex.load, "exclusion_horizon", "exclusion_horizon"),
@@ -283,3 +276,38 @@ def test_library_reads_no_environment_variable():
 def test_layer_keyword_defaults_are_the_config_defaults(function, parameter, field):
     default = inspect.signature(function).parameters[parameter].default
     assert default == getattr(Config(), field)
+
+
+# registration values no Config field sets live as module constants
+_FIXED_DEFAULTS = {
+    (extract_compact_2d, "coarse_grid_m"): COARSE_GRID_M,
+    (extract_compact_2d, "cell_cap"): pose.COMPACT_CELL_CAP,
+    (extract_compact_2d, "normal_neighbors"): pose.COMPACT_NORMAL_NEIGHBORS,
+    (extract_compact_2d, "max_flatness_ratio"): pose.COMPACT_MAX_FLATNESS,
+    **{(f, p): c for f in (nicp_2d, _nicp_lockstep) for p, c in [
+        ("max_iters", pose.STAGE1_MAX_ITERS),
+        ("gate_start_m", pose.STAGE1_GATE_START_M),
+        ("gate_end_m", pose.STAGE1_GATE_END_M),
+    ]},
+    (refine_pose_3d, "max_iters"): pose.STAGE2_MAX_ITERS,
+    (refine_pose_3d, "gate_start_m"): pose.STAGE2_GATE_START_M,
+    (refine_pose_3d, "gate_end_m"): pose.STAGE2_GATE_END_M,
+    (refine_pose_3d, "query_points"): pose.STAGE2_QUERY_POINTS,
+}
+
+
+@pytest.mark.parametrize(
+    "function, parameter", list(_FIXED_DEFAULTS), ids=lambda v: getattr(v, "__qualname__", v)
+)
+def test_layer_defaults_are_the_fixed_values(function, parameter):
+    default = inspect.signature(function).parameters[parameter].default
+    assert default == _FIXED_DEFAULTS[function, parameter]
+
+
+def test_readme_field_groups_name_every_config_field():
+    # README.md's "Field groups" bullets document each Config field once
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    section = text.split("Field groups", 1)[1].split("\n\n", 2)[1]
+    assert section.startswith("- ")
+    named = re.findall(r"`(\w+)`", section)
+    assert sorted(named) == sorted(f.name for f in dataclasses.fields(Config))

@@ -330,15 +330,16 @@ def test_stage1_stops_the_losing_branch_once_the_kept_one_converges(nn_searches)
     est = planar_pose(q, c, k, cfg)
     assert est.converged
     steps = len(est.trace)
-    assert steps < cfg.nicp_max_iters
+    assert steps < pose_mod.STAGE1_MAX_ITERS
     # a search per branch and iteration at that iteration's gate, the loser's
     # included in the iteration the winner converged in, then one final
     # search per branch at the end gate
     gates = [
-        pose_mod._gate_at(it, cfg.nicp_max_iters, cfg.nicp_gate_start_m, cfg.nicp_gate_end_m)
+        pose_mod._gate_at(it, pose_mod.STAGE1_MAX_ITERS, pose_mod.STAGE1_GATE_START_M,
+                          pose_mod.STAGE1_GATE_END_M)
         for it in range(steps)
     ]
-    assert nn_searches == [g for g in gates for _ in (0, 1)] + [cfg.nicp_gate_end_m] * 2
+    assert nn_searches == [g for g in gates for _ in (0, 1)] + [pose_mod.STAGE1_GATE_END_M] * 2
 
 
 @pytest.mark.parametrize("alias_branch", [0, 1])
