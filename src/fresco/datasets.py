@@ -126,18 +126,20 @@ def load_kitti_poses(path, sensor_to_cam: np.ndarray | None = None) -> list[Traj
 
 
 def load_generic_poses(path) -> list[TrajectoryPose]:
-    """Parse poses.csv rows: frame,x,y,z,yaw_deg or frame + 12 matrix numbers."""
+    """Parse poses.csv rows: frame,x,y,z,yaw_deg or frame + 12 matrix numbers.
+    Only the first row that is not blank or a comment may be a header."""
     poses = []
     last_id = None
-    seen_data = False
+    first_row = True
     for lineno, line in enumerate(read_text_lines(path)):
         text = line.strip()
         fields = [f.strip() for f in re.split(r"[,\s]+", text) if f.strip()]
         if not fields or text.startswith("#"):  # blank, separators only, or a comment
             continue
-        if not seen_data and not _is_number(fields[0]):
-            continue  # header row
-        seen_data = True
+        if first_row:
+            first_row = False
+            if not _is_number(fields[0]):
+                continue  # the header row
         vals = parse_floats(fields, f"{path}:{lineno + 1}")
         if len(vals) not in (5, 13):
             raise FormatError(

@@ -10,7 +10,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
-from scipy.spatial import cKDTree
+from scipy.spatial.distance import cdist
 
 from .cloud import FormatError
 from .config import Config
@@ -21,10 +21,6 @@ _MAGIC = b"FRIX"
 _VERSION = 2
 # magic, version, descriptor rows, descriptor columns, entry count
 _HEADER = struct.Struct("<4sIIIQ")
-_REBUILD_EVERY = 64  # eligible keys outside the k-d tree that trigger a rebuild
-# A rounding allowance, not a setting: tree distances sum the same squared differences
-# in another order, so two closer than this relative gap may tie in the exact arithmetic.
-_TIE_SLACK = 1e-9
 
 
 class DegenerateDescriptorError(Exception):
@@ -63,11 +59,11 @@ class KeyframeIndex:
     """Insertion-ordered store of (id, key, descriptor half): a descriptor
     repeats after half its width, so only its first half is kept.
 
-    Retrieval is ``properties.linear_scan`` over the eligible keys, ties and
-    distances included.  A k-d tree over eligible keys only screens, and is
-    rebuilt once 64 eligible keys lie outside it, so answers never depend on
-    rebuild timing.  The most recent ``exclusion_horizon`` insertions are
-    never returned, which keeps a vehicle from matching the scene it is in.
+    Keys live in one float64 block, a row per insertion, that doubles when
+    full.  Retrieval is ``properties.linear_scan`` over the eligible keys,
+    ties and distances included, in one exact pass.  The most recent
+    ``exclusion_horizon`` insertions are never returned, which keeps a
+    vehicle from matching the scene it is in.
     """
 
     def __init__(self, exclusion_horizon: int = Config.exclusion_horizon):
@@ -75,9 +71,8 @@ class KeyframeIndex:
             raise ValueError("exclusion_horizon must be >= 0")
         self.exclusion_horizon = exclusion_horizon
         self._ids: list[int] = []
-        self._keys: list[np.ndarray] = []
+        self._keys = np.empty((0, 0))  # rows past len(self) are unused
         self._halves: list[np.ndarray] = []
-        self._tree: cKDTree | None = None  # over the first tree.n keys, all eligible
 
     def __len__(self) -> int:
         return len(self._ids)
@@ -125,35 +120,34 @@ class KeyframeIndex:
             )
         key = make_key(desc)  # degenerate frames are rejected, not stored
         half = descriptor_half(desc)
+        n = len(self._ids)
+        if n == len(self._keys):  # full: double the block; np.resize keeps its rows
+            self._keys = np.resize(self._keys, (2 * n or 1, key.size))
+        self._keys[n] = key
         self._ids.append(frame_id)
-        self._keys.append(key)
         self._halves.append(half)
 
     def retrieve(self, desc: np.ndarray, num_candidates: int) -> list[tuple[int, float]]:
         """Up to ``num_candidates`` (id, key distance) pairs of ``eligible_ids``,
         nearest first, ties to the smaller id.
 
-        Unless the tree's (k+1)-th nearest may tie its k-th, its k nearest hold
-        the exact k nearest; else every tree key stays, as do the keys outside
-        the tree.  ``properties.linear_scan``'s arithmetic ranks the candidates.
+        One ``cdist`` row, ``properties.linear_scan``'s arithmetic, against every
+        eligible key.  Every position no farther than the k-th smallest
+        distance stays, in position order, so a stable sort of those ranks
+        exactly as a stable sort of them all.
         """
         k = num_candidates
         if k < 1:
             raise ValueError("num_candidates must be >= 1")
         key = make_key(desc)
-        n = max(0, len(self._ids) - self.exclusion_horizon)  # never falls
-        t = 0 if self._tree is None else self._tree.n
-        if n - t >= _REBUILD_EVERY:
-            self._tree, t = cKDTree(np.array(self._keys[:n])), n
-        pos = np.arange(n)
-        if k < t:  # else every tree key is a candidate anyway
-            dist, near = self._tree.query(key, k=k + 1)
-            if dist[k] - dist[k - 1] > _TIE_SLACK * dist[k]:
-                pos = np.concatenate([np.sort(near[:k]), pos[t:]])
-        rows = np.reshape([self._keys[p] for p in pos], (-1, key.size))
-        dist = np.linalg.norm(rows - key, axis=1)
-        order = np.argsort(dist, kind="stable")[:k]
-        return [(self._ids[p], d) for p, d in zip(pos[order].tolist(), dist[order].tolist())]
+        n = max(0, len(self._ids) - self.exclusion_horizon)
+        if not n:
+            return []
+        dist = cdist(key[None], self._keys[:n])[0]
+        cut = np.partition(dist, k - 1)[k - 1] if k < n else np.inf
+        pos = np.flatnonzero(dist <= cut)
+        pos = pos[np.argsort(dist[pos], kind="stable")[:k]]
+        return [(self._ids[p], d) for p, d in zip(pos.tolist(), dist[pos].tolist())]
 
     def match(
         self,

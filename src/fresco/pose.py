@@ -33,7 +33,8 @@ COMPACT_MAX_FLATNESS = 0.8
 # annealed from the start value to the end value over those iterations.
 STAGE1_MAX_ITERS = 30
 STAGE1_GATE_START_M, STAGE1_GATE_END_M = 8.0, 0.5
-# Stage 2 calls a pose a success when its gated mse (m^2) is below this.
+# Stage 2 calls a pose a success when its gated mse (m^2) is below this.  That mse is inf or
+# at most 0.25, so success only means a sampled centroid lies within STAGE2_GATE_END_M.
 STAGE2_SUCCESS_MSE = 1.5
 # Stage 2 registers at most this many query centroids, evenly spaced in voxel
 # key order (``_spaced_picks``); the candidate tree keeps every centroid.

@@ -132,6 +132,16 @@ def test_generic_poses_header_after_comment(tmp_path):
     assert len(load_generic_poses(p)) == 1
 
 
+def test_generic_poses_allow_one_header_row_only(tmp_path):
+    p = tmp_path / "poses.csv"
+    p.write_text("frame,x,y,z,yaw_deg\n1O,0,0,0,0\n2,1,0,0,0\n")  # a mistyped frame id
+    with pytest.raises(FormatError, match=r"poses\.csv:2: non-numeric"):
+        load_generic_poses(p)
+    p.write_text("# dump\nframe,x,y,z,yaw_deg\n\n# again\nframe,x,y,z,yaw_deg\n0,0,0,0,0\n")
+    with pytest.raises(FormatError, match=r"poses\.csv:5: non-numeric"):
+        load_generic_poses(p)
+
+
 def test_generic_poses_reject_malformed(tmp_path):
     p = tmp_path / "poses.csv"
     p.write_text("2,0,0,0,0\n1,0,0,0,0\n")

@@ -357,12 +357,15 @@ def test_run_evaluation_labels_against_what_the_index_could_return(tmp_path):
     from fresco.index import KeyframeIndex
     from conftest import write_bin
 
+    def place(i):
+        spec = synth.SceneSpec(seed=900 + i, pillars=14, walls=4, rings=2, range_limit=30.0)
+        return synth.generate(spec).xyz
+
     # twelve distinct places 2 m apart; frame 5 is an empty scan
     root = tmp_path / "route"
     root.mkdir()
     for i in range(12):
-        spec = synth.SceneSpec(seed=900 + i, pillars=14, walls=4, rings=2, range_limit=30.0)
-        write_bin(root / f"{i:06d}.bin", np.zeros((0, 3)) if i == 5 else synth.generate(spec).xyz)
+        write_bin(root / f"{i:06d}.bin", np.zeros((0, 3)) if i == 5 else place(i))
     (root / "poses.csv").write_text(
         "frame,x,y,z,yaw_deg\n" + "".join(f"{i},{2.0 * i},0.0,0.0,0.0\n" for i in range(12))
     )
@@ -377,6 +380,16 @@ def test_run_evaluation_labels_against_what_the_index_could_return(tmp_path):
     # frame 5 lies within 8.5 m of queries 6..9, but the index never held it,
     # and the keyframes those queries could have been given are all farther
     assert [labels[q] for q in (6, 7, 8, 9)] == ["TN"] * 4
+
+    # only the first keyframe empty: it meets an empty index, and is flagged the same way
+    write_bin(root / "000000.bin", np.zeros((0, 3)))
+    write_bin(root / "000005.bin", place(5))
+    report = run_evaluation(load_dataset(root, "generic"), cfg, tmp_path / "out0")
+    assert report["dataset"]["degenerate_frames"] == 1
+    with open(tmp_path / "out0" / "matches.csv") as fh:
+        labels = {int(r["query"]): r["label"] for r in csv.DictReader(fh)}
+    assert sorted(labels) == list(range(1, 12))
+    assert labels[4] == "TN"  # frame 0 lies within 8.5 m, but the index never held it
 
     # replay the index's insertions: eligibility depends on their order only
     positions = {p.frame_id: p.position for p in dataset.poses}

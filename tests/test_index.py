@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from scipy.spatial.distance import cdist
 
 from fresco import index as index_module
 from fresco import synth
@@ -233,13 +234,13 @@ def _scan(keys, horizon, query_key, k):
     # linear_scan over the eligible keys, with the distances it ranks by
     rows = np.array(keys[: max(0, len(keys) - horizon)]).reshape(-1, query_key.size)
     want = linear_scan(rows, query_key, k)
-    return want, np.linalg.norm(rows - query_key, axis=1)[want].tolist()
+    return want, cdist(query_key[None], rows)[0][want].tolist()
 
 
 def test_tied_keys_rank_like_a_linear_scan_at_every_size():
     rng = np.random.default_rng(20)
     d, e = _rand_desc(rng), _rand_desc(rng)
-    for size in range(60, 131):  # below, at and past the first k-d tree
+    for size in range(60, 131):  # sizes of both parities, each cut through a run of exact ties
         idx = KeyframeIndex(exclusion_horizon=0)
         for i in range(size):
             idx.insert(i, d if i % 2 else e)
@@ -261,7 +262,7 @@ def test_tied_keys_rank_like_a_linear_scan_at_every_size():
 @example(seed=0, horizon=0, inserts=220, every=1)
 def test_online_retrieval_equals_a_linear_scan(seed, horizon, inserts, every):
     # a walk of inserts and retrieves over a few repeated descriptors, so
-    # exact ties meet the k-th place before and after k-d tree rebuilds
+    # exact ties meet the k-th place while the index grows
     rng = np.random.default_rng(seed)
     pool = [_rand_desc(rng) for _ in range(4)]
 
@@ -278,36 +279,6 @@ def test_online_retrieval_equals_a_linear_scan(seed, horizon, inserts, every):
             q, k = draw(), int(rng.integers(1, 31))
             want, dist = _scan(keys, horizon, make_key(q), k)
             assert idx.retrieve(q, k) == list(zip(want, dist))
-
-
-def test_the_tree_is_built_by_retrieve_over_the_eligible_keys(tmp_path, monkeypatch):
-    rng = np.random.default_rng(22)
-    src = KeyframeIndex()
-    for i in range(200):
-        src.insert(i, _rand_desc(rng))
-    src.save(tmp_path / "a.frix")
-    built, real = [], index_module.cKDTree
-
-    def counting(data):
-        built.append(np.array(data))
-        return real(data)
-
-    monkeypatch.setattr(index_module, "cKDTree", counting)
-    idx = KeyframeIndex.load(tmp_path / "a.frix", exclusion_horizon=30)
-    assert built == []
-    q = _rand_desc(rng)
-    idx.retrieve(q, 5)
-    assert len(built) == 1
-    eligible = np.array([make_key(idx.descriptor(fid)) for fid in idx.eligible_ids])
-    assert len(eligible) == 170
-    np.testing.assert_array_equal(built[0], eligible)
-    for i in range(200, 263):  # 63 eligible keys join, all outside the tree
-        idx.insert(i, _rand_desc(rng))
-        idx.match(q, 5, np.inf, np.inf)
-    assert len(built) == 1
-    idx.insert(263, _rand_desc(rng))
-    idx.retrieve(q, 5)
-    assert len(built) == 2 and len(built[1]) == 234
 
 
 def test_exclusion_horizon_hides_recent_frames():
@@ -464,7 +435,7 @@ def test_save_load_round_trip(tmp_path):
 def test_loaded_index_equals_inserting_its_float32_descriptors(tmp_path):
     rng = np.random.default_rng(19)
     idx = KeyframeIndex(exclusion_horizon=5)
-    for i in range(70):  # 65 eligible keys: retrieve builds a k-d tree
+    for i in range(70):  # 65 eligible keys
         idx.insert(3 * i, _rand_desc(rng, 32, 120))
     p = tmp_path / "a.frix"
     idx.save(p)
